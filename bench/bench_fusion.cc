@@ -57,8 +57,7 @@ core::StageOptions FusionStageOptions(const benchmark::State& state) {
 obs::RunOptions FusionRunOptions(const benchmark::State& state) {
   obs::RunOptions opts;
   opts.step_stats = false;
-  const int threads = static_cast<int>(state.range(0));
-  opts.inter_op_threads = threads == 1 ? 0 : threads;
+  opts.inter_op_threads = static_cast<int>(state.range(0));
   return opts;
 }
 

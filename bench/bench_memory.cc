@@ -43,8 +43,7 @@ void ApplyMemoryArgs(benchmark::internal::Benchmark* b) {
 obs::RunOptions MemoryOptions(const benchmark::State& state) {
   obs::RunOptions opts;
   opts.step_stats = false;
-  const int threads = static_cast<int>(state.range(0));
-  opts.inter_op_threads = threads == 1 ? 0 : threads;
+  opts.inter_op_threads = static_cast<int>(state.range(0));
   opts.buffer_pool = state.range(1) != 0;
   return opts;
 }

@@ -404,20 +404,6 @@ void ReadGraphTable(ByteReader& r, ArtifactFunction& fn, GraphTable& table,
   fn.graph = table.graphs.front();
 }
 
-// Expected step kind for an op — the same dispatch CompilePlan uses, so
-// a plan whose kind byte disagrees with its node's op is rejected
-// before it can misexecute.
-Session::Plan::Kind KindForOp(const std::string& op) {
-  using Kind = Session::Plan::Kind;
-  if (op == "Cond") return Kind::kCond;
-  if (op == "While") return Kind::kWhile;
-  if (op == "Placeholder") return Kind::kPlaceholder;
-  if (op == "Variable") return Kind::kVariable;
-  if (op == "Assign") return Kind::kAssign;
-  if (op == "Arg") return Kind::kArg;
-  return Kind::kKernel;
-}
-
 Session::Plan ReadPlan(ByteReader& r, const GraphTable& table) {
   Session::Plan plan;
   const uint32_t num_steps = r.Count(18);
@@ -428,14 +414,14 @@ Session::Plan ReadPlan(ByteReader& r, const GraphTable& table) {
     const uint32_t gi = r.U32();
     const uint32_t ni = r.U32();
     step.node = table.NodeAt(r, gi, ni);
+    // The kind byte must be the one CompilePlan assigns this node's op,
+    // so a plan that would misexecute is rejected before it is built.
     const uint8_t kind = r.U8();
-    if (kind > static_cast<uint8_t>(Session::Plan::Kind::kAssign)) {
-      r.Fail("unknown plan step kind " + std::to_string(kind));
-    }
-    step.kind = static_cast<Session::Plan::Kind>(kind);
-    if (step.kind != KindForOp(step.node->op())) {
-      r.Fail("plan step kind disagrees with op '" + step.node->op() +
-             "' of node '" + step.node->name() + "'");
+    step.kind = Session::Plan::KindForOp(step.node->op());
+    if (kind != static_cast<uint8_t>(step.kind)) {
+      r.Fail("plan step kind " + std::to_string(kind) +
+             " disagrees with op '" + step.node->op() + "' of node '" +
+             step.node->name() + "'");
     }
     if (step.kind == Session::Plan::Kind::kKernel) {
       // Kernel pointers are process-local: re-resolved here, never

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <optional>
 #include <set>
@@ -274,16 +273,13 @@ std::vector<RuntimeValue> Session::Run(
     // cancelled fails here, before compiling a plan or launching a
     // single kernel, so expired work never occupies the engine.
     if (ctx.cancel != nullptr) ctx.cancel->Poll("Run entry");
-    if (ctx.inter_op_threads > 0) {
-      const Plan& plan = TopPlanFor(fetches, ctx);
-      const std::vector<RuntimeValue> no_args;
+    const Plan& plan = TopPlanFor(fetches, ctx);
+    std::vector<RuntimeValue> no_args;
+    if (ctx.inter_op_threads >= 2) {
       results = RunPlanParallel(plan, no_args, ctx);
     } else {
-      results.reserve(fetches.size());
-      Frame frame;
-      for (const Output& f : fetches) {
-        results.push_back(EvalOutput(f, frame, ctx));
-      }
+      std::vector<std::vector<RuntimeValue>> slots;
+      results = RunPlan(plan, no_args, &slots, ctx);
     }
   } catch (const Error& e) {
     ++stats_.runs;
@@ -355,222 +351,7 @@ Tensor Session::GetVariable(const std::string& name) const {
   return it->second;
 }
 
-RuntimeValue Session::EvalOutput(const Output& out, Frame& frame,
-                                 RunCtx& ctx) {
-  const std::vector<RuntimeValue>& vals = EvalNode(out.node, frame, ctx);
-  if (out.index < 0 || out.index >= static_cast<int>(vals.size())) {
-    throw InternalError("fetch of invalid output index on node '" +
-                        out.node->name() + "'");
-  }
-  return vals[static_cast<size_t>(out.index)];
-}
-
-const std::vector<RuntimeValue>& Session::EvalNode(const Node* node,
-                                                   Frame& frame,
-                                                   RunCtx& ctx) {
-  auto it = frame.memo.find(node);
-  if (it != frame.memo.end()) return it->second;
-
-  ++stats_.nodes_executed;
-  const std::string& op = node->op();
-  std::vector<RuntimeValue> outputs;
-
-  if (op == "Arg") {
-    if (frame.args == nullptr) {
-      throw InternalError("Arg node evaluated outside a subgraph");
-    }
-    const auto index = static_cast<size_t>(node->attr<int64_t>("index"));
-    if (index >= frame.args->size()) {
-      throw InternalError("Arg index out of range");
-    }
-    outputs = {(*frame.args)[index]};
-  } else if (op == "Placeholder") {
-    const std::string& name = node->attr<std::string>("name");
-    if (ctx.feeds == nullptr) {
-      throw RuntimeError("placeholder '" + name + "' evaluated outside Run");
-    }
-    auto feed = ctx.feeds->find(name);
-    if (feed == ctx.feeds->end()) {
-      throw RuntimeError("placeholder '" + name + "' was not fed");
-    }
-    outputs = {feed->second};
-  } else if (op == "Variable") {
-    outputs = {GetVariable(node->attr<std::string>("var_name"))};
-  } else if (op == "Assign") {
-    RuntimeValue value = EvalOutput(node->inputs()[0], frame, ctx);
-    const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
-    {
-      std::lock_guard<std::mutex> lock(var_mu_);
-      variables_[node->attr<std::string>("var_name")] = AsTensor(value);
-    }
-    if (ctx.rec != nullptr) {
-      ctx.rec->RecordNode(node->name(), op, t0, obs::NowNs(),
-                          OutputBytes({value}));
-    }
-    outputs = {std::move(value)};
-  } else if (op == "Cond") {
-    const Tensor pred = AsTensor(EvalOutput(node->inputs()[0], frame, ctx));
-    if (pred.dtype() != DType::kBool) {
-      throw RuntimeError("cond predicate must be a bool tensor, got " +
-                         std::string(DTypeName(pred.dtype())));
-    }
-    const bool taken = pred.scalar_bool();
-    if (ctx.rec != nullptr) ctx.rec->CountCondBranch(taken);
-    const auto then_ncaps =
-        static_cast<size_t>(node->attr<int64_t>("then_ncaps"));
-    const auto& branch_attr = taken ? "then_branch" : "else_branch";
-    const auto& branch = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>(branch_attr));
-    // Capture layout: inputs = [pred, then_caps..., else_caps...].
-    const size_t offset = taken ? 1 : 1 + then_ncaps;
-    std::vector<RuntimeValue> args;
-    args.reserve(branch.captures.size());
-    for (size_t i = 0; i < branch.captures.size(); ++i) {
-      args.push_back(EvalOutput(node->inputs()[offset + i], frame, ctx));
-    }
-    // Cross-boundary liveness: captures the branch's plan never reads
-    // are evaluated (side effects and memoization intact) but their
-    // handles are dropped before entering the sub-plan.
-    const Plan& branch_plan = PlanFor(branch, ctx);
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (!branch_plan.ArgUsed(i)) args[i] = RuntimeValue{};
-    }
-    {
-      obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                            node->name() + " (Cond)", "control");
-      outputs = ExecSubgraph(branch, std::move(args), ctx);
-    }
-    if (outputs.empty()) outputs = {Tensor()};  // 0-output cond placeholder
-  } else if (op == "While") {
-    const auto n = static_cast<size_t>(node->attr<int64_t>("num_loop_vars"));
-    const auto cond_ncaps =
-        static_cast<size_t>(node->attr<int64_t>("cond_ncaps"));
-    const auto& cond_g = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>("cond"));
-    const auto& body_g = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>("body"));
-
-    std::vector<RuntimeValue> loop_vars;
-    loop_vars.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      loop_vars.push_back(EvalOutput(node->inputs()[i], frame, ctx));
-    }
-    std::vector<RuntimeValue> cond_caps;
-    for (size_t i = 0; i < cond_ncaps; ++i) {
-      cond_caps.push_back(EvalOutput(node->inputs()[n + i], frame, ctx));
-    }
-    std::vector<RuntimeValue> body_caps;
-    for (size_t i = n + cond_ncaps; i < node->inputs().size(); ++i) {
-      body_caps.push_back(EvalOutput(node->inputs()[i], frame, ctx));
-    }
-    // Cross-boundary liveness (Plan::args_used): dead captures are
-    // still evaluated (side effects and memoization intact) but their
-    // handles are dropped at loop entry rather than copied into every
-    // iteration.
-    {
-      const Plan& cond_plan = PlanFor(cond_g, ctx);
-      const Plan& body_plan = PlanFor(body_g, ctx);
-      for (size_t i = 0; i < cond_caps.size(); ++i) {
-        if (!cond_plan.ArgUsed(n + i)) cond_caps[i] = RuntimeValue{};
-      }
-      for (size_t i = 0; i < body_caps.size(); ++i) {
-        if (!body_plan.ArgUsed(n + i)) body_caps[i] = RuntimeValue{};
-      }
-    }
-
-    obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                          node->name() + " (While)", "control");
-    int64_t iter = 0;
-    try {
-      for (;; ++iter) {
-        if (ctx.cancel != nullptr) ctx.cancel->Poll("loop head", iter);
-        // The condition sees copies (loop vars survive it); the body
-        // consumes the loop vars themselves, so after the first
-        // iteration each carried value enters the body sole-owned and
-        // the in-place kernel paths can recycle its buffer.
-        std::vector<RuntimeValue> cond_args = loop_vars;
-        cond_args.insert(cond_args.end(), cond_caps.begin(),
-                         cond_caps.end());
-        std::vector<RuntimeValue> test =
-            ExecSubgraph(cond_g, std::move(cond_args), ctx);
-        if (test.size() != 1) {
-          throw RuntimeError("while condition must produce a single value");
-        }
-        if (!AsTensor(test[0]).scalar_bool()) break;
-        // Guard after the condition: a loop that terminates cleanly in
-        // exactly N iterations never trips a bound of N.
-        if (iter >= ctx.max_while_iterations) {
-          throw RuntimeError("While node '" + node->name() +
-                             "' exceeded max_while_iterations (" +
-                             std::to_string(ctx.max_while_iterations) +
-                             "); runaway staged loop?");
-        }
-        if (ctx.rec != nullptr) ctx.rec->CountWhileIteration();
-        std::vector<RuntimeValue> body_args = std::move(loop_vars);
-        body_args.insert(body_args.end(), body_caps.begin(),
-                         body_caps.end());
-        loop_vars = ExecSubgraph(body_g, std::move(body_args), ctx);
-      }
-    } catch (const Error& e) {
-      RethrowWithWhileContext(e, node->name(), iter);
-    }
-    outputs = std::move(loop_vars);
-    if (outputs.empty()) outputs = {Tensor()};
-  } else {
-    const Kernel& kernel = FindKernel(op);
-    std::vector<RuntimeValue> inputs;
-    inputs.reserve(node->inputs().size());
-    for (const Output& in : node->inputs()) {
-      inputs.push_back(EvalOutput(in, frame, ctx));
-    }
-    if (ctx.cancel != nullptr) ctx.cancel->PollKernel(node->name());
-    ++stats_.kernel_invocations;
-    const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
-    const int64_t alloc0 =
-        ctx.rec != nullptr ? tensor::ThreadAllocCount() : 0;
-    // Input-derived stats are snapshotted before the kernel: in-place
-    // kernels may steal (move out of) uniquely-owned inputs.
-    const int64_t in_bytes = ctx.rec != nullptr ? OutputBytes(inputs) : 0;
-    const int64_t mm_flops =
-        ctx.rec != nullptr ? MatMulFlops(*node, inputs) : 0;
-    try {
-      outputs = kernel(*node, inputs);
-    } catch (const Error& e) {
-      throw e.WithFrame(SourceFrame{
-          SourceLocation{"<graph>", 0, 0}, node->name() + " (" + op + ")",
-          /*generated=*/true});
-    }
-    if (ctx.rec != nullptr) {
-      ctx.rec->RecordNode(node->name(), op, t0, obs::NowNs(),
-                          OutputBytes(outputs),
-                          tensor::ThreadAllocCount() - alloc0,
-                          mm_flops + ElementwiseFlops(*node, outputs),
-                          in_bytes,
-                          tensor::simd::KernelBackendName(
-                              tensor::simd::ActiveBackend()));
-    }
-  }
-
-  auto [ins, inserted] = frame.memo.emplace(node, std::move(outputs));
-  (void)inserted;
-  return ins->second;
-}
-
-std::vector<RuntimeValue> Session::ExecSubgraph(const FuncGraph& fg,
-                                                std::vector<RuntimeValue> args,
-                                                RunCtx& ctx) {
-  std::vector<std::vector<RuntimeValue>> scratch;
-  return RunPlan(PlanFor(fg, ctx), args, &scratch, ctx);
-}
-
 namespace {
-
-bool EnvFlagEnabled(const char* name, bool default_value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return default_value;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
 
 // Plans past this size skip the quadratic/bitset plan optimizations;
 // compile time stays linear and the drain just pays the extra edges.
@@ -578,29 +359,25 @@ constexpr int kMaxStepsForPlanOpt = 4096;
 
 }  // namespace
 
-Session::PlanCompileOptions Session::PlanCompileOptions::FromEnv() {
-  PlanCompileOptions options;
-  options.schedule = EnvFlagEnabled("AG_PLAN_SCHEDULE", true);
-  options.transitive_reduction =
-      EnvFlagEnabled("AG_PLAN_TRANSITIVE_REDUCTION", true);
-  return options;
+Session::Plan::Kind Session::Plan::KindForOp(const std::string& op) {
+  if (op == "Cond") return Kind::kCond;
+  if (op == "While") return Kind::kWhile;
+  if (op == "Placeholder") return Kind::kPlaceholder;
+  if (op == "Variable") return Kind::kVariable;
+  if (op == "Assign") return Kind::kAssign;
+  return Kind::kKernel;
 }
 
 Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
                                    bool allow_args) {
-  return CompilePlan(returns, allow_args, PlanCompileOptions::FromEnv());
-}
-
-Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
-                                   bool allow_args,
-                                   const PlanCompileOptions& options) {
   ++stats_.plans_compiled;
   Plan plan;
   std::unordered_map<const Node*, int> step_of;
   // Post-order DFS from the returns gives a topological schedule over
-  // exactly the nodes this subgraph needs. The schedule order equals
-  // the sequential recursive evaluation order, which is what the
-  // stateful chain below relies on.
+  // exactly the nodes this subgraph needs. Its order of stateful steps
+  // (inputs left to right, fetches in order) is the program's effect
+  // order; scheduling below keeps it and the stateful chain enforces
+  // it in the parallel drain.
   std::vector<std::pair<const Node*, size_t>> stack;
   auto visit = [&](const Node* n) -> int {
     auto found = step_of.find(n);
@@ -622,20 +399,9 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
       if (step_of.find(node) == step_of.end()) {
         Plan::Step step;
         step.node = node;
-        const std::string& op = node->op();
-        if (op == "Cond") {
-          step.kind = Plan::Kind::kCond;
-        } else if (op == "While") {
-          step.kind = Plan::Kind::kWhile;
-        } else if (op == "Placeholder") {
-          step.kind = Plan::Kind::kPlaceholder;
-        } else if (op == "Variable") {
-          step.kind = Plan::Kind::kVariable;
-        } else if (op == "Assign") {
-          step.kind = Plan::Kind::kAssign;
-        } else {
-          step.kind = Plan::Kind::kKernel;
-          step.kernel = &FindKernel(op);
+        step.kind = Plan::KindForOp(node->op());
+        if (step.kind == Plan::Kind::kKernel) {
+          step.kernel = &FindKernel(node->op());
         }
         step.inputs.reserve(node->inputs().size());
         for (const Output& in : node->inputs()) {
@@ -656,6 +422,11 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   };
 
   for (const Output& r : returns) {
+    if (r.index < 0 || r.index >= r.node->num_outputs()) {
+      throw InternalError("fetch of invalid output index " +
+                          std::to_string(r.index) + " on node '" +
+                          r.node->name() + "'");
+    }
     if (r.node->op() == "Arg") {
       if (!allow_args) {
         throw InternalError("Arg node evaluated outside a subgraph");
@@ -684,15 +455,15 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   // re-placement folds plan-time liveness into step placement: at every
   // position it picks a dependency-ready step that retires the most
   // live slots (a slot retires when its final consumer runs), tie-broken
-  // by original position so the schedule stays close to the sequential
-  // one when nothing is gained. Values then die as early as the
+  // by original position so the schedule stays close to the DFS order
+  // when nothing is gained. Values then die as early as the
   // dependencies allow, shrinking concurrent-liveness peaks and handing
   // the buffer pool a smaller, hotter working set. Reordering pure
   // steps is value-exact — kernels are deterministic functions of their
   // inputs and RNG draws are per-node counter streams — and stateful
-  // steps keep their relative order, preserving the sequential effect
-  // interleaving both engines promise.
-  if (options.schedule && plan.steps.size() > 2 &&
+  // steps keep their relative order, preserving the effect interleaving
+  // both executors promise.
+  if (plan.steps.size() > 2 &&
       plan.steps.size() <= static_cast<size_t>(kMaxStepsForPlanOpt)) {
     const int n = static_cast<int>(plan.steps.size());
     // Compressed slot ids for every (producer step, output) endpoint.
@@ -831,13 +602,14 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
 
   // Side-effect order: chain every stateful step to the next one in
   // plan order, so variable reads/writes and Print output interleave
-  // exactly as the sequential evaluator would. A Cond/While step is an
-  // effect fence too when any node of its subgraphs (transitively)
-  // is stateful — its branch/body runs inside the step, so it must not
-  // overlap other stateful steps. Random ops need no chaining — their
-  // draws are per-node counter streams, independent of cross-node
-  // execution order. The chain's edges are recorded so the transitive
-  // reduction below never drops them (AGV204 wants them direct).
+  // in the parallel drain exactly as in the sequential executor. A
+  // Cond/While step is an effect fence too when any node of its
+  // subgraphs (transitively) is stateful — its branch/body runs inside
+  // the step, so it must not overlap other stateful steps. Random ops
+  // need no chaining — their draws are per-node counter streams,
+  // independent of cross-node execution order. The chain's edges are
+  // recorded so the transitive reduction below never drops them (AGV204
+  // wants them direct).
   std::set<std::pair<int, int>> chain_edges;
   int prev = -1;
   for (int i = 0; i < num_steps; ++i) {
@@ -865,7 +637,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   // rebalanced per removed edge (AGV201) and consecutive-stateful chain
   // edges are exempt (AGV204 checks them directly, and verify's AGV203
   // accepts path reachability for dataflow inputs).
-  if (options.transitive_reduction && num_steps > 2 &&
+  if (num_steps > 2 &&
       num_steps <= kMaxStepsForPlanOpt) {
     const size_t words = (static_cast<size_t>(num_steps) + 63) / 64;
     // reach[i*words..] = bitset of steps reachable from i (edges all
@@ -1108,6 +880,10 @@ void Session::ExecStep(const Plan::Step& step,
     }
     case Plan::Kind::kCond: {
       const Tensor& pred = AsTensor(inputs[0]);
+      if (pred.dtype() != DType::kBool) {
+        throw RuntimeError("cond predicate must be a bool tensor, got " +
+                           std::string(DTypeName(pred.dtype())));
+      }
       const bool taken = pred.scalar_bool();
       if (ctx.rec != nullptr) ctx.rec->CountCondBranch(taken);
       const auto then_ncaps =
@@ -1256,8 +1032,6 @@ void Session::ExecStep(const Plan::Step& step,
       *out = {std::move(inputs[0])};
       break;
     }
-    case Plan::Kind::kArg:
-      break;  // args are resolved directly; never scheduled
   }
 }
 
@@ -1316,7 +1090,7 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
   run->args = &args;
   run->ctx = ctx;
   run->rng = &rng_state_;
-  run->max_helpers = std::max(0, ctx.inter_op_threads - 1);
+  run->max_helpers = ctx.inter_op_threads - 1;
 
   const size_t num_steps = plan.steps.size();
   run->slots.resize(num_steps);
@@ -1329,12 +1103,10 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
     }
   }
 
-  if (run->max_helpers > 0) {
-    // Worker growth is demand-driven: MaybeScheduleHelpers leases
-    // helpers from the shared pool (process-wide capped), and the lease
-    // path grows the pool to the outstanding lease count.
-    MaybeScheduleHelpers(run);
-  }
+  // Worker growth is demand-driven: MaybeScheduleHelpers leases helpers
+  // from the shared pool (process-wide capped), and the lease path grows
+  // the pool to the outstanding lease count.
+  MaybeScheduleHelpers(run);
   Drain(run, /*is_caller=*/true);
 
   // Drain returned only after observing completion under run->mu, so

@@ -1,26 +1,30 @@
 // Graph executor — this repo's tf.Session.
 //
 // A Session executes a built Graph: feed placeholders, fetch endpoints.
-// Only nodes reachable from the fetches are evaluated (lazy, memoized per
-// Run). Functional control flow is interpreted:
-//   - Cond evaluates its predicate, then executes only the taken branch's
-//     subgraph;
-//   - While repeatedly executes its cond/body subgraphs over the loop
+// Each fetch list is compiled once into a Plan over exactly the nodes
+// the fetches need (cached per fetch signature), and every graph —
+// top-level or a Cond/While FuncGraph — runs through that one plan
+// executor. Functional control flow is a plan step:
+//   - Cond checks its bool predicate, then runs only the taken branch's
+//     sub-plan (both branches' captures are inputs of the step, so they
+//     are computed either way);
+//   - While repeatedly runs its cond/body sub-plans over the loop
 //     variables.
 // Variables persist across Run calls in the session's variable store.
 //
-// Execution engines. Every graph is executed through one of two engines
-// selected by obs::RunOptions::inter_op_threads:
-//   - 0 (default): the sequential recursive evaluator — today's exact
-//     behaviour, byte-identical step stats and trace output;
-//   - >= 1: the parallel plan engine. The fetched subgraph is compiled
-//     once into a Plan whose steps carry precomputed successor lists and
-//     pending-input counts; execution is a ready-queue over those
+// obs::RunOptions::inter_op_threads picks how a top-level plan's steps
+// are driven; Cond/While sub-plans always run sequentially inside their
+// step:
+//   - 0 or 1 (default 0): the sequential executor walks the steps in
+//     plan order, moving each value into its last consumer so in-place
+//     kernels can reuse its buffer;
+//   - >= 2: the parallel drain. Steps carry precomputed successor lists
+//     and pending-input counts; execution is a ready-queue over those
 //     refcounts, drained by the calling thread plus up to
 //     (inter_op_threads - 1) shared-pool workers. Stateful steps
 //     (Variable/Assign/Print, plus Cond/While whose subgraphs contain
 //     any of those) are chained in plan order so side effects keep
-//     their sequential semantics.
+//     their sequential order.
 // Sessions are safe to Run() from multiple threads concurrently: the
 // plan cache and the variable store are mutex-protected and SessionStats
 // counters are atomic.
@@ -34,7 +38,7 @@
 // metadata.
 //
 // Interruption: RunOptions::deadline_ms / cancel_token /
-// max_while_iterations make a Run killable. Both engines poll
+// max_while_iterations make a Run killable. Both executors poll
 // cooperatively (kernel launches, While iterations, the parallel
 // drain's claim path) and unwind through the normal failure machinery
 // with Error(kDeadlineExceeded / kCancelled / kRuntime), after which
@@ -132,13 +136,13 @@ class Session {
 
   [[nodiscard]] const SessionStats& stats() const { return stats_; }
 
-  // Precompiled execution plan for a fetched subgraph (FuncGraphs inside
-  // While/Cond, and — for the parallel engine — the top-level graph):
-  // nodes in topological order with pre-resolved input slot indices and
-  // cached kernel pointers — no hashing per node. This is the
-  // executor-side analog of TF's executor "ready list" compilation.
+  // Precompiled execution plan for a fetched subgraph (a top-level fetch
+  // list, or a FuncGraph inside While/Cond): nodes in topological order
+  // with pre-resolved input slot indices and cached kernel pointers — no
+  // hashing per node. This is the executor-side analog of TF's executor
+  // "ready list" compilation.
   //
-  // For the parallel engine each step also carries its consumer list and
+  // For the parallel drain each step also carries its consumer list and
   // initial pending-input count, both computed here at compile time so
   // the scheduler does nothing but atomic decrements at run time.
   //
@@ -146,15 +150,20 @@ class Session {
   // audit plans and tools/agverify can compile them standalone; the
   // executors only ever consume plans built here.
   struct Plan {
+    // Explicit values: these are the .agc v1 plan-step kind bytes. 1 is
+    // unassigned — an Arg is never a step; references to it resolve to
+    // InputRef{-1, index}.
     enum class Kind : uint8_t {
-      kKernel,
-      kArg,
-      kCond,
-      kWhile,
-      kPlaceholder,
-      kVariable,
-      kAssign,
+      kKernel = 0,
+      kCond = 2,
+      kWhile = 3,
+      kPlaceholder = 4,
+      kVariable = 5,
+      kAssign = 6,
     };
+    // The step kind ExecStep dispatches on for a node of `op` — the one
+    // mapping CompilePlan, the .agc reader and verify::VerifyPlan share.
+    [[nodiscard]] static Kind KindForOp(const std::string& op);
     struct InputRef {
       int step;    // producing step index (-1: function argument)
       int output;  // producer output index, or arg index when step < 0
@@ -200,36 +209,16 @@ class Session {
     }
   };
 
-  // Plan-compile tuning. Defaults come from the environment
-  // (AG_PLAN_SCHEDULE=0 / AG_PLAN_TRANSITIVE_REDUCTION=0 disable) via
-  // FromEnv(); both transforms preserve results bit-exactly in both
-  // engines and are skipped for very large plans.
-  struct PlanCompileOptions {
-    // Memory-aware scheduling: greedily re-place the topological order
-    // so each position retires as many live slots as the dependencies
-    // allow, shrinking concurrent-liveness peaks (smaller working set
-    // for the buffer pool). Stateful steps keep their relative
-    // (sequential-effect) order; pure steps reorder freely — kernels
-    // are deterministic and RNG draws are per-node counter streams.
-    bool schedule = true;
-    // Transitive reduction of successor edges: drop every dataflow edge
-    // already implied by a longer path, shrinking the parallel drain's
-    // pending-count traffic on wide plans. Edges between consecutive
-    // stateful steps are never dropped (AGV204 keeps the effect chain
-    // direct); verify's AGV203 accepts path reachability.
-    bool transitive_reduction = true;
-    [[nodiscard]] static PlanCompileOptions FromEnv();
-  };
-
   // Compiles the subgraph reachable from `returns` into a Plan. Pure
   // (no session state mutated); `allow_args` permits Arg references
-  // (FuncGraph sub-plans). In debug or -DAG_VERIFY=ON builds the result
-  // is audited by verify::VerifyPlan before being returned. The
-  // two-argument overload compiles with PlanCompileOptions::FromEnv().
+  // (FuncGraph sub-plans). A return whose output index is out of range
+  // for its node throws InternalError. Plans under a size cap are also
+  // memory-scheduled (stateful steps keep their relative order) and get
+  // their successor edges transitively reduced; both preserve results
+  // bit-exactly. In debug or -DAG_VERIFY=ON builds the result
+  // is audited by verify::VerifyPlan before being returned.
   Plan CompilePlan(const std::vector<graph::Output>& returns,
                    bool allow_args);
-  Plan CompilePlan(const std::vector<graph::Output>& returns, bool allow_args,
-                   const PlanCompileOptions& options);
 
   // Artifact load support (src/artifact): pre-populate the plan caches
   // with plans deserialized from an .agc file so PlanFor / TopPlanFor
@@ -274,32 +263,17 @@ class Session {
     std::optional<tensor::simd::KernelBackend> kernel_backend;
   };
 
-  struct Frame {
-    std::unordered_map<const graph::Node*, std::vector<RuntimeValue>> memo;
-    const std::vector<RuntimeValue>* args = nullptr;
-  };
-
   // Shared run state of one parallel plan execution (defined in the
   // .cc); shared_ptr-owned so pool helpers may outlive the caller's
   // epilogue safely.
   struct ParallelRun;
 
-  RuntimeValue EvalOutput(const graph::Output& out, Frame& frame,
-                          RunCtx& ctx);
-  const std::vector<RuntimeValue>& EvalNode(const graph::Node* node,
-                                            Frame& frame, RunCtx& ctx);
-  // Takes args by value: RunPlan may move individual args into their
-  // final consumers (the liveness pass flags arg refs kMoveSeq too).
-  std::vector<RuntimeValue> ExecSubgraph(const graph::FuncGraph& fg,
-                                         std::vector<RuntimeValue> args,
-                                         RunCtx& ctx);
   const Plan& PlanFor(const graph::FuncGraph& fg, RunCtx& ctx);
-  // Plan for a top-level fetch list (parallel engine), cached per fetch
-  // signature.
+  // Plan for a top-level fetch list, cached per fetch signature.
   const Plan& TopPlanFor(const std::vector<graph::Output>& fetches,
                          RunCtx& ctx);
   // Executes one plan step given its resolved inputs, writing the step's
-  // outputs to `out`. Shared by the sequential and parallel engines.
+  // outputs to `out`. Shared by the sequential and parallel executors.
   // `inputs` is consumed: elements the gather loop moved in are the last
   // live handles to their values, and the step forwards them into
   // kernels / sub-plan args so in-place reuse can trigger.

@@ -38,15 +38,17 @@ struct RunOptions {
   bool step_stats = true;
 
   // Threading knobs (the analog of TF's inter/intra-op pools, but over
-  // one shared runtime::ThreadPool). These select the execution engine;
-  // they do NOT turn on instrumentation (see enabled() below), so a
-  // caller wanting a parallel-but-unprofiled run sets step_stats=false.
+  // one shared runtime::ThreadPool). They pick how a compiled plan is
+  // driven; they do NOT turn on instrumentation (see enabled() below),
+  // so a caller wanting a parallel-but-unprofiled run sets
+  // step_stats=false.
   //
   // inter_op_threads: how many graph steps may execute concurrently in
-  // exec::Session. 0 (default) = the sequential recursive evaluator,
-  // byte-identical behaviour to a build without this knob; >= 1 = the
-  // ready-queue parallel plan executor (1 = drained by the calling
-  // thread alone, useful for deterministic testing of that engine).
+  // exec::Session. 0 (default) or 1 = the sequential plan executor,
+  // which runs steps in plan order on the calling thread; >= 2 = the
+  // ready-queue parallel drain (the calling thread plus up to
+  // inter_op_threads - 1 shared-pool helpers). Results are bit-identical
+  // either way.
   int inter_op_threads = 0;
   // intra_op_threads: per-kernel sharding budget for the heavy tensor
   // kernels (MatMul row bands, large elementwise/reduction loops).

@@ -162,15 +162,6 @@ bool StepIsStateful(const Plan::Step& s) {
   return NodeIsStatefulCached(*s.node, cache);
 }
 
-Plan::Kind ExpectedKind(const std::string& op) {
-  if (op == "Cond") return Plan::Kind::kCond;
-  if (op == "While") return Plan::Kind::kWhile;
-  if (op == "Placeholder") return Plan::Kind::kPlaceholder;
-  if (op == "Variable") return Plan::Kind::kVariable;
-  if (op == "Assign") return Plan::Kind::kAssign;
-  return Plan::Kind::kKernel;
-}
-
 }  // namespace
 
 bool PlanStepIsStateful(const Plan::Step& step) {
@@ -188,7 +179,7 @@ std::vector<VerifyDiagnostic> VerifyPlan(const Plan& plan,
     if (s.node == nullptr) {
       Add(&out, "AGV205", "step has a null graph node", StepRef(plan, i));
     } else {
-      const Plan::Kind expect = ExpectedKind(s.node->op());
+      const Plan::Kind expect = Plan::KindForOp(s.node->op());
       if (s.kind != expect) {
         Add(&out, "AGV205",
             "step kind does not match its node's op", StepRef(plan, i),

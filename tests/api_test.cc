@@ -1,75 +1,15 @@
-// Tests for the public API surface: graph serialization round trips
-// (deployability), the tf.function-style polymorphic callable, the
-// Lantern multi-value conditional, and the inspectability of generated
-// code.
+// Tests for the public API surface: the tf.function-style polymorphic
+// callable, the Lantern multi-value conditional, and the inspectability
+// of generated code.
 #include <gtest/gtest.h>
 
 #include "core/api.h"
 #include "core/lantern_api.h"
 #include "exec/session.h"
-#include "graph/serialize.h"
 #include "tensor/tensor_ops.h"
 
 namespace ag::core {
 namespace {
-
-TEST(Serialize, SimpleGraphRoundTrips) {
-  AutoGraph agc;
-  agc.LoadSource("def f(x):\n  return tf.tanh(x) * 2.0\n");
-  StagedFunction staged = agc.Stage("f", {StageArg::Placeholder("x")});
-  Tensor input = Tensor::FromVector({0.5f, -0.5f}, Shape({2}));
-  Tensor expected = staged.Run1({input});
-
-  std::string text = graph::SerializeGraph(*staged.graph, staged.fetches);
-  graph::DeserializedGraph restored = graph::DeserializeGraph(text);
-  ASSERT_EQ(restored.outputs.size(), 1u);
-
-  exec::Session session(restored.graph.get());
-  Tensor out = session.RunTensor({{"x", input}}, restored.outputs[0]);
-  EXPECT_TRUE(AllClose(out, expected, 1e-6f));
-}
-
-TEST(Serialize, ControlFlowGraphRoundTrips) {
-  // A staged graph with Cond + While subgraphs and captures survives
-  // serialization — the paper's deploy-without-Python property.
-  AutoGraph agc;
-  agc.LoadSource(R"(
-def f(x, n):
-  i = tf.constant(0)
-  while i < n:
-    if x > 100.0:
-      x = x / 2.0
-    else:
-      x = x * 3.0
-    i = i + 1
-  return x
-)");
-  StagedFunction staged = agc.Stage(
-      "f", {StageArg::Placeholder("x"),
-            StageArg::Placeholder("n", DType::kInt32)});
-  const Tensor x0 = Tensor::Scalar(7.0f);
-  const Tensor n0 = Tensor::ScalarInt(5);
-  Tensor expected = staged.Run1({x0, n0});
-
-  std::string text = graph::SerializeGraph(*staged.graph, staged.fetches);
-  graph::DeserializedGraph restored = graph::DeserializeGraph(text);
-  exec::Session session(restored.graph.get());
-  std::map<std::string, exec::RuntimeValue> feeds{{"x", x0}, {"n", n0}};
-  EXPECT_FLOAT_EQ(session.Run(feeds, restored.outputs)[0].index() == 0
-                      ? exec::AsTensor(session.Run(feeds,
-                                                   restored.outputs)[0])
-                            .scalar()
-                      : 0.0f,
-                  expected.scalar());
-}
-
-TEST(Serialize, RejectsMalformedInput) {
-  EXPECT_THROW((void)graph::DeserializeGraph("bogus line\n"), Error);
-  EXPECT_THROW(
-      (void)graph::DeserializeGraph(
-          "node \"a\" Add 1\n  input \"missing\" 0\nend_node\n"),
-      Error);
-}
 
 TEST(PolymorphicFunction, RetracesPerDtypeSignature) {
   AutoGraph agc;

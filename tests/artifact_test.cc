@@ -173,20 +173,14 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b,
 // ---------------------------------------------------------------------
 // Round-trip property
 
-TEST(ArtifactRoundTrip, BitIdenticalAcrossEnginesAndPool) {
-  const RnnInputs inputs = MakeRnnInputs(SmallConfig());
-  const std::vector<exec::RuntimeValue> feeds = FeedsFor(inputs);
-
-  AutoGraph agc;
-  StagedFunction original = StageModule(agc, inputs, nullptr);
-  const std::string path = WriteModuleArtifact(inputs, "roundtrip");
-  auto fns = core::StageFromArtifact(path);
-  ASSERT_EQ(fns.size(), 2u);
-  ASSERT_TRUE(fns.count("rnn_cell"));
-  ASSERT_TRUE(fns.count("dynamic_rnn"));
-  StagedFunction& loaded = fns.at("dynamic_rnn");
+// Runs `original` and `loaded` on `feeds` across both executors
+// (sequential at inter_op 0, parallel drain at 4) and pool on/off, and
+// requires bit-identical outputs. The load path installed every
+// serialized plan, so `loaded` must never compile one.
+void ExpectRoundTripBitIdentical(StagedFunction& original,
+                                 StagedFunction& loaded,
+                                 const std::vector<exec::RuntimeValue>& feeds) {
   ASSERT_EQ(loaded.feed_names, original.feed_names);
-
   for (const int inter_op : {0, 4}) {
     for (const bool pool : {true, false}) {
       obs::RunOptions options;
@@ -203,9 +197,50 @@ TEST(ArtifactRoundTrip, BitIdenticalAcrossEnginesAndPool) {
       }
     }
   }
-  // The load path installed every serialized plan: nothing was compiled
-  // lazily, even after exercising both engines.
   EXPECT_EQ(loaded.session->stats().plans_compiled.load(), 0);
+}
+
+TEST(ArtifactRoundTrip, BitIdenticalAcrossEnginesAndPool) {
+  const RnnInputs inputs = MakeRnnInputs(SmallConfig());
+  const std::vector<exec::RuntimeValue> feeds = FeedsFor(inputs);
+
+  AutoGraph agc;
+  StagedFunction original = StageModule(agc, inputs, nullptr);
+  const std::string path = WriteModuleArtifact(inputs, "roundtrip");
+  auto fns = core::StageFromArtifact(path);
+  ASSERT_EQ(fns.size(), 2u);
+  ASSERT_TRUE(fns.count("rnn_cell"));
+  ASSERT_TRUE(fns.count("dynamic_rnn"));
+  ExpectRoundTripBitIdentical(original, fns.at("dynamic_rnn"), feeds);
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactRoundTrip, CondInsideWhileBitIdentical) {
+  // A Cond nested in a While body, both capturing from the enclosing
+  // graph: subgraph attrs, capture lists and the nested sub-plans all
+  // survive the container — the paper's deploy-without-Python property.
+  AutoGraph agc;
+  agc.LoadSource(R"(
+def f(x, n):
+  i = tf.constant(0)
+  while i < n:
+    if x > 100.0:
+      x = x / 2.0
+    else:
+      x = x * 3.0
+    i = i + 1
+  return x
+)");
+  StagedFunction original = agc.Stage(
+      "f", {core::StageArg::Placeholder("x"),
+            core::StageArg::Placeholder("n", DType::kInt32)});
+  const std::string path = TempArtifactPath("cond_in_while");
+  core::SaveArtifact(path, {{"f", &original}});
+  auto fns = core::StageFromArtifact(path);
+  ASSERT_EQ(fns.size(), 1u);
+  ASSERT_TRUE(fns.count("f"));
+  ExpectRoundTripBitIdentical(
+      original, fns.at("f"), {Tensor::Scalar(7.0f), Tensor::ScalarInt(5)});
   std::remove(path.c_str());
 }
 

@@ -69,7 +69,20 @@ TEST(Session, CondExecutesOnlyTakenBranch) {
       2.0f);
 }
 
+// Single-fetch Run at a given inter_op_threads: 0 drives the sequential
+// plan executor, >= 2 the parallel drain.
+Tensor RunAt(Session& session,
+             const std::map<std::string, RuntimeValue>& feeds,
+             const Output& fetch, int inter_op_threads) {
+  obs::RunOptions options;
+  options.inter_op_threads = inter_op_threads;
+  return session.RunTensor(feeds, fetch, &options);
+}
+
 TEST(Session, CondPredicateMustBeBool) {
+  // The predicate check lives in the one Cond step implementation, so it
+  // holds for a top-level Cond and for one nested in a While body, at
+  // every thread count.
   Graph g;
   GraphContext ctx(&g);
   Output pred = Placeholder(ctx, "p", DType::kFloat32);
@@ -77,10 +90,78 @@ TEST(Session, CondPredicateMustBeBool) {
   std::vector<Output> outs =
       Cond(ctx, pred, [&] { return std::vector<Output>{a}; },
            [&] { return std::vector<Output>{a}; });
+  std::vector<Output> loop = While(
+      ctx, {Const(ctx, Tensor::ScalarInt(0)), a},
+      [&](const std::vector<Output>& args) {
+        return Op(ctx, "Less", {args[0], Const(ctx, Tensor::ScalarInt(2))});
+      },
+      [&](const std::vector<Output>& args) {
+        std::vector<Output> picked =
+            Cond(ctx, pred, [&] { return std::vector<Output>{args[1]}; },
+                 [&] { return std::vector<Output>{args[1]}; });
+        return std::vector<Output>{
+            Op(ctx, "Add", {args[0], Const(ctx, Tensor::ScalarInt(1))}),
+            picked[0]};
+      });
   Session session(&g);
-  EXPECT_THROW(
-      (void)session.RunTensor({{"p", Tensor::Scalar(1.0f)}}, outs[0]),
-      Error);
+  for (const Output& fetch : {outs[0], loop[1]}) {
+    for (const int threads : {0, 2}) {
+      try {
+        (void)RunAt(session, {{"p", Tensor::Scalar(1.0f)}}, fetch, threads);
+        ADD_FAILURE() << "float predicate accepted at inter_op_threads="
+                      << threads;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kRuntime);
+        EXPECT_NE(e.message().find("must be a bool"), std::string::npos)
+            << e.message();
+      }
+    }
+  }
+}
+
+TEST(Session, FetchOfInvalidOutputIndexThrows) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output t = Op(ctx, "Tanh", {Const(ctx, Tensor::Scalar(0.5f))});
+  Session session(&g);
+  for (const int threads : {0, 2}) {
+    try {
+      (void)RunAt(session, {}, Output{t.node, 3}, threads);
+      ADD_FAILURE() << "out-of-range fetch accepted at inter_op_threads="
+                    << threads;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+      EXPECT_NE(e.message().find("invalid output index"), std::string::npos)
+          << e.message();
+    }
+  }
+}
+
+TEST(Session, TopLevelCondComputesBothBranchesCaptures) {
+  // An outer Tanh captured only by the untaken branch is a Cond input,
+  // so both executors compute it: the kernel count of a run does not
+  // depend on the thread count.
+  Graph g;
+  GraphContext ctx(&g);
+  Output pred = Placeholder(ctx, "p", DType::kBool);
+  Output a = Const(ctx, Tensor::Scalar(1.0f));
+  Output t = Op(ctx, "Tanh", {a});
+  std::vector<Output> outs =
+      Cond(ctx, pred, [&] { return std::vector<Output>{a}; },
+           [&] { return std::vector<Output>{Op(ctx, "Neg", {t})}; });
+  Session session(&g);
+  std::vector<int64_t> deltas;
+  for (const int threads : {0, 2}) {
+    const int64_t before = session.stats().kernel_invocations;
+    EXPECT_FLOAT_EQ(
+        RunAt(session, {{"p", Tensor::ScalarBool(true)}}, outs[0], threads)
+            .scalar(),
+        1.0f);
+    deltas.push_back(session.stats().kernel_invocations - before);
+  }
+  EXPECT_EQ(deltas[0], deltas[1]);
+  // Const + Tanh at top level; the taken branch only forwards `a`.
+  EXPECT_EQ(deltas[0], 2);
 }
 
 TEST(Session, WhileLoopRunsToFixpoint) {
