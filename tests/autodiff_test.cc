@@ -61,6 +61,12 @@ struct UnaryCase {
   float high;
 };
 
+// Printed by value so the test names gtest lists (and CTest registers) stay
+// the same across builds; the default byte dump embeds the address of `name`.
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  *os << c.name << " on (" << c.low << ", " << c.high << ")";
+}
+
 class GraphUnaryGrad : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(GraphUnaryGrad, MatchesFiniteDifference) {

@@ -242,8 +242,18 @@ TEST(Ops, SumToShape) {
 
 // ---- property-style sweeps ----
 
-class BroadcastProperty
-    : public ::testing::TestWithParam<std::pair<Shape, Shape>> {};
+struct BroadcastCase {
+  Shape a;
+  Shape b;
+};
+
+// Printed by value so the test names gtest lists (and CTest registers) stay
+// the same across builds; the default byte dump embeds heap addresses.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  *os << c.a.str() << " + " << c.b.str();
+}
+
+class BroadcastProperty : public ::testing::TestWithParam<BroadcastCase> {};
 
 TEST_P(BroadcastProperty, AddCommutesAndMatchesScalarLoop) {
   auto [sa, sb] = GetParam();
@@ -263,11 +273,11 @@ TEST_P(BroadcastProperty, AddCommutesAndMatchesScalarLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BroadcastProperty,
-    ::testing::Values(std::make_pair(Shape({3, 4}), Shape({4})),
-                      std::make_pair(Shape({3, 1}), Shape({1, 4})),
-                      std::make_pair(Shape(), Shape({2, 2, 2})),
-                      std::make_pair(Shape({2, 1, 3}), Shape({1, 5, 3})),
-                      std::make_pair(Shape({6}), Shape({6}))));
+    ::testing::Values(BroadcastCase{Shape({3, 4}), Shape({4})},
+                      BroadcastCase{Shape({3, 1}), Shape({1, 4})},
+                      BroadcastCase{Shape(), Shape({2, 2, 2})},
+                      BroadcastCase{Shape({2, 1, 3}), Shape({1, 5, 3})},
+                      BroadcastCase{Shape({6}), Shape({6})}));
 
 class ReductionProperty : public ::testing::TestWithParam<int> {};
 
