@@ -187,6 +187,46 @@ Value NativeV(const std::string& name,
   return MakeNative(name, std::move(fn));
 }
 
+// Installs `fn` at `tf_name` under the tf module ("nn.relu" lands in
+// tf.nn).
+void InstallTf(ObjectValue& tf, ObjectValue& nn, const std::string& tf_name,
+               Value fn) {
+  if (tf_name.rfind("nn.", 0) == 0) {
+    nn.attrs[tf_name.substr(3)] = std::move(fn);
+  } else {
+    tf.attrs[tf_name] = std::move(fn);
+  }
+}
+
+// The tf.* binding of a table op (tensor/elementwise_ops.def), one
+// overload per arity; a row without a tf name binds nothing.
+void BindElementwise(ObjectValue& tf, ObjectValue& nn, const char* tf_name,
+                     const char* op, Tensor (*eager)(const Tensor&)) {
+  if (tf_name == nullptr) return;
+  const std::string name = std::string("tf.") + tf_name;
+  InstallTf(tf, nn, tf_name,
+            NativeV(name, [name, op, eager](Interpreter& in,
+                                            std::vector<Value>& args,
+                                            Kwargs&) {
+              RequireArgs(args, 1, name.c_str());
+              return Dispatch1(in, op, args[0], eager);
+            }));
+}
+
+void BindElementwise(ObjectValue& tf, ObjectValue& nn, const char* tf_name,
+                     const char* op,
+                     Tensor (*eager)(const Tensor&, const Tensor&)) {
+  if (tf_name == nullptr) return;
+  const std::string name = std::string("tf.") + tf_name;
+  InstallTf(tf, nn, tf_name,
+            NativeV(name, [name, op, eager](Interpreter& in,
+                                            std::vector<Value>& args,
+                                            Kwargs&) {
+              RequireArgs(args, 2, name.c_str());
+              return Dispatch2(in, op, args[0], args[1], eager);
+            }));
+}
+
 // ---------------------------------------------------------------------
 // The `tf` module
 // ---------------------------------------------------------------------
@@ -238,92 +278,12 @@ Value BuildTfModule() {
     RequireArgs(args, 2, "tf.matmul");
     return Dispatch2(in, "MatMul", args[0], args[1], &MatMul);
   });
-  m["add"] = NativeV("tf.add", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.add");
-    return Dispatch2(in, "Add", args[0], args[1], &Add);
-  });
-  m["subtract"] = NativeV("tf.subtract", [](Interpreter& in,
-                                            std::vector<Value>& args,
-                                            Kwargs&) {
-    RequireArgs(args, 2, "tf.subtract");
-    return Dispatch2(in, "Sub", args[0], args[1], &Sub);
-  });
-  m["multiply"] = NativeV("tf.multiply", [](Interpreter& in,
-                                            std::vector<Value>& args,
-                                            Kwargs&) {
-    RequireArgs(args, 2, "tf.multiply");
-    return Dispatch2(in, "Mul", args[0], args[1], &Mul);
-  });
-  m["divide"] = NativeV("tf.divide", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.divide");
-    return Dispatch2(in, "Div", args[0], args[1], &Div);
-  });
-  m["maximum"] = NativeV("tf.maximum", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.maximum");
-    return Dispatch2(in, "Maximum", args[0], args[1], &Maximum);
-  });
-  m["minimum"] = NativeV("tf.minimum", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.minimum");
-    return Dispatch2(in, "Minimum", args[0], args[1], &Minimum);
-  });
-  m["pow"] = NativeV("tf.pow", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.pow");
-    return Dispatch2(in, "Pow", args[0], args[1], &Pow);
-  });
-
-  m["tanh"] = NativeV("tf.tanh", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.tanh");
-    return Dispatch1(in, "Tanh", args[0], &Tanh);
-  });
-  m["sigmoid"] = NativeV("tf.sigmoid", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 1, "tf.sigmoid");
-    return Dispatch1(in, "Sigmoid", args[0], &Sigmoid);
-  });
-  m["exp"] = NativeV("tf.exp", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.exp");
-    return Dispatch1(in, "Exp", args[0], &Exp);
-  });
-  m["log"] = NativeV("tf.log", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.log");
-    return Dispatch1(in, "Log", args[0], &Log);
-  });
-  m["sqrt"] = NativeV("tf.sqrt", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.sqrt");
-    return Dispatch1(in, "Sqrt", args[0], &Sqrt);
-  });
-  m["square"] = NativeV("tf.square", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.square");
-    return Dispatch1(in, "Square", args[0], &Square);
-  });
-  m["abs"] = NativeV("tf.abs", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.abs");
-    return Dispatch1(in, "Abs", args[0], &Abs);
-  });
-  m["sin"] = NativeV("tf.sin", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.sin");
-    return Dispatch1(in, "Sin", args[0], &Sin);
-  });
-  m["cos"] = NativeV("tf.cos", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.cos");
-    return Dispatch1(in, "Cos", args[0], &Cos);
-  });
+  // The elementwise table's tf names; "nn.relu" binds tf.nn.relu.
+  auto nn = std::make_shared<ObjectValue>();
+  nn->type_name = "module 'tf.nn'";
+#define AG_ELEMENTWISE_OP(Name, Arity, Dtype, Fn, Hook, TfName) \
+  BindElementwise(*tf, *nn, TfName, #Name, &Name);
+#include "tensor/elementwise_ops.def"
 
   m["reduce_sum"] = NativeV("tf.reduce_sum", [](Interpreter& in,
                                                 std::vector<Value>& args,
@@ -537,41 +497,6 @@ Value BuildTfModule() {
     return Dispatch2(in, "Gather", args[0], args[1], &Gather);
   });
 
-  m["equal"] = NativeV("tf.equal", [](Interpreter& in,
-                                      std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.equal");
-    return Dispatch2(in, "Equal", args[0], args[1], &Equal);
-  });
-  m["less"] = NativeV("tf.less", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.less");
-    return Dispatch2(in, "Less", args[0], args[1], &Less);
-  });
-  m["greater"] = NativeV("tf.greater", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.greater");
-    return Dispatch2(in, "Greater", args[0], args[1], &Greater);
-  });
-  m["logical_and"] = NativeV("tf.logical_and", [](Interpreter& in,
-                                                  std::vector<Value>& args,
-                                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.logical_and");
-    return Dispatch2(in, "LogicalAnd", args[0], args[1], &LogicalAnd);
-  });
-  m["logical_or"] = NativeV("tf.logical_or", [](Interpreter& in,
-                                                std::vector<Value>& args,
-                                                Kwargs&) {
-    RequireArgs(args, 2, "tf.logical_or");
-    return Dispatch2(in, "LogicalOr", args[0], args[1], &LogicalOr);
-  });
-  m["logical_not"] = NativeV("tf.logical_not", [](Interpreter& in,
-                                                  std::vector<Value>& args,
-                                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.logical_not");
-    return Dispatch1(in, "LogicalNot", args[0], &LogicalNot);
-  });
-
   m["print"] = NativeV("tf.print", [](Interpreter& in,
                                       std::vector<Value>& args, Kwargs&) {
     return ops::Print(in, args);
@@ -599,14 +524,6 @@ Value BuildTfModule() {
   });
 
   // tf.nn submodule.
-  auto nn = std::make_shared<ObjectValue>();
-  nn->type_name = "module 'tf.nn'";
-  nn->attrs["relu"] = NativeV("tf.nn.relu", [](Interpreter& in,
-                                               std::vector<Value>& args,
-                                               Kwargs&) {
-    RequireArgs(args, 1, "tf.nn.relu");
-    return Dispatch1(in, "Relu", args[0], &Relu);
-  });
   nn->attrs["tanh"] = m["tanh"];
   nn->attrs["sigmoid"] = m["sigmoid"];
   nn->attrs["softmax"] = NativeV("tf.nn.softmax", [](Interpreter& in,

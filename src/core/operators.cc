@@ -1007,7 +1007,11 @@ Value ConvertedCall(Interpreter& in, const Value& fn, std::vector<Value> args,
         return LanternStagedCall(in, f, std::move(args));
       }
     }
-    if (f->converted || !in.options().conversion.recursive) {
+    // Without the call_trees pass (a default pass) conversion is
+    // non-recursive: callees run as written.
+    if (f->converted ||
+        !in.options().conversion.pipeline.Selects("call_trees",
+                                                  /*default_enabled=*/true)) {
       return in.CallFunctionValue(f, std::move(args), std::move(kwargs));
     }
     FunctionPtr converted = in.ConvertFunctionValue(f);

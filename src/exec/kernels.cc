@@ -90,19 +90,20 @@ Kernel Binary(Tensor (*fn)(const Tensor&, const Tensor&)) {
   };
 }
 
-// Moving adapters for ops with in-place rvalue overloads. The
+// Moving adapters for the elementwise table ops' rvalue overloads. The
 // function-pointer parameter type picks the && overload out of the
-// overload set, and TakeTensor hands the op whatever ownership the
-// executor left in the input slot: sole-owned when this step was the
-// value's last use (liveness moved it in), shared otherwise — the op's
-// own refcount check then decides between in-place and copy.
-Kernel UnaryM(Tensor (*fn)(Tensor&&)) {
+// overload set (and the arity picks the adapter), and TakeTensor hands
+// the op whatever ownership the executor left in the input slot:
+// sole-owned when this step was the value's last use (liveness moved it
+// in), shared otherwise — the op's own refcount check then decides
+// between in-place and copy.
+Kernel MovingKernel(Tensor (*fn)(Tensor&&)) {
   return [fn](const Node&, std::vector<RuntimeValue>& in) {
     return std::vector<RuntimeValue>{fn(TakeTensor(in[0]))};
   };
 }
 
-Kernel BinaryM(Tensor (*fn)(Tensor&&, Tensor&&)) {
+Kernel MovingKernel(Tensor (*fn)(Tensor&&, Tensor&&)) {
   return [fn](const Node&, std::vector<RuntimeValue>& in) {
     return std::vector<RuntimeValue>{
         fn(TakeTensor(in[0]), TakeTensor(in[1]))};
@@ -167,39 +168,9 @@ const std::unordered_map<std::string, Kernel>& Registry() {
       return std::vector<RuntimeValue>{Tensor::Scalar(0.0f)};
     };
 
-    // Elementwise binary — moving adapters so dead inputs are reused.
-    reg["Add"] = BinaryM(&Add);
-    reg["Sub"] = BinaryM(&Sub);
-    reg["Mul"] = BinaryM(&Mul);
-    reg["Div"] = BinaryM(&Div);
-    reg["FloorDiv"] = BinaryM(&FloorDiv);
-    reg["Mod"] = BinaryM(&Mod);
-    reg["Pow"] = BinaryM(&Pow);
-    reg["Maximum"] = BinaryM(&Maximum);
-    reg["Minimum"] = BinaryM(&Minimum);
-    reg["Less"] = BinaryM(&Less);
-    reg["LessEqual"] = BinaryM(&LessEqual);
-    reg["Greater"] = BinaryM(&Greater);
-    reg["GreaterEqual"] = BinaryM(&GreaterEqual);
-    reg["Equal"] = BinaryM(&Equal);
-    reg["NotEqual"] = BinaryM(&NotEqual);
-    reg["LogicalAnd"] = BinaryM(&LogicalAnd);
-    reg["LogicalOr"] = BinaryM(&LogicalOr);
-
-    // Elementwise unary.
-    reg["Neg"] = UnaryM(&Neg);
-    reg["Exp"] = UnaryM(&Exp);
-    reg["Log"] = UnaryM(&Log);
-    reg["Tanh"] = UnaryM(&Tanh);
-    reg["Sigmoid"] = UnaryM(&Sigmoid);
-    reg["Relu"] = UnaryM(&Relu);
-    reg["Sqrt"] = UnaryM(&Sqrt);
-    reg["Abs"] = UnaryM(&Abs);
-    reg["Sign"] = UnaryM(&Sign);
-    reg["Square"] = UnaryM(&Square);
-    reg["Sin"] = UnaryM(&Sin);
-    reg["Cos"] = UnaryM(&Cos);
-    reg["LogicalNot"] = UnaryM(&LogicalNot);
+    // The elementwise table — moving adapters so dead inputs are reused.
+#define AG_ELEMENTWISE_OP(Name, ...) reg[#Name] = MovingKernel(&Name);
+#include "tensor/elementwise_ops.def"
     reg["Softmax"] = Unary(&Softmax);
     reg["LogSoftmax"] = Unary(&LogSoftmax);
 

@@ -15,6 +15,7 @@
 #include "support/error.h"
 #include "tensor/allocator.h"
 #include "tensor/simd/dispatch.h"
+#include "tensor/tensor_ops.h"
 #include "verify/plan_verify.h"
 
 namespace ag::exec {
@@ -50,10 +51,19 @@ int64_t OutputBytes(const std::vector<RuntimeValue>& outputs) {
 // tensors: anything derived from input shapes must be computed BEFORE
 // the kernel runs, anything derived from outputs after.
 //
-// MatMulFlops: 2·m·k·n for the matmul family; 0 otherwise. Pre-kernel.
-int64_t MatMulFlops(const Node& node,
-                    const std::vector<RuntimeValue>& inputs) {
+// InputFlops: 2·m·k·n for the matmul family; one flop per input element
+// for reductions and (Log)Softmax; 0 otherwise. Pre-kernel.
+int64_t InputFlops(const Node& node,
+                   const std::vector<RuntimeValue>& inputs) {
+  static const std::unordered_set<std::string> kPerInputElementOps = {
+      "ReduceSum", "ReduceMean", "ReduceMax", "ReduceMin", "Softmax",
+      "LogSoftmax"};
   const std::string& op = node.op();
+  if (kPerInputElementOps.count(op) > 0) {
+    return !inputs.empty() && IsTensor(inputs[0])
+               ? AsTensor(inputs[0]).num_elements()
+               : 0;
+  }
   if (op != "MatMul" && op != "QuantizedMatMul") return 0;
   if (inputs.size() < 2 || !IsTensor(inputs[0]) || !IsTensor(inputs[1])) {
     return 0;
@@ -66,12 +76,12 @@ int64_t MatMulFlops(const Node& node,
   return 2 * a.shape().dim(0) * a.shape().dim(1) * b.shape().dim(1);
 }
 
-// ElementwiseFlops: ~1 flop per output element per step for fused
-// chains and plain elementwise/reduction math; 0 for the matmul family
-// (counted above) and for ops with no meaningful flop count
-// (shape/data movement, control flow). Post-kernel.
-int64_t ElementwiseFlops(const Node& node,
-                         const std::vector<RuntimeValue>& outputs) {
+// OutputFlops: ~1 flop per output element for each elementwise table op
+// (one per step of a fused chain) and for (de)quantization; 0 for ops
+// counted above and for ops with no meaningful flop count (shape/data
+// movement, control flow). Post-kernel.
+int64_t OutputFlops(const Node& node,
+                    const std::vector<RuntimeValue>& outputs) {
   const std::string& op = node.op();
   if (outputs.empty() || !IsTensor(outputs[0]) ||
       !AsTensor(outputs[0]).defined()) {
@@ -86,12 +96,10 @@ int64_t ElementwiseFlops(const Node& node,
     }
     return steps * elems;
   }
-  static const std::unordered_set<std::string> kUnitFlopOps = {
-      "Add",     "Sub",     "Mul",   "Div",  "Neg",  "Abs",   "Square",
-      "Sqrt",    "Exp",     "Log",   "Tanh", "Sigmoid", "Relu", "Pow",
-      "Maximum", "Minimum", "Sum",   "Mean", "Max",  "Min",   "Softmax",
-      "Quantize", "Dequantize"};
-  if (kUnitFlopOps.count(op) > 0) return elems;
+  if (FindElementwiseOp(op) != nullptr || op == "Quantize" ||
+      op == "Dequantize") {
+    return elems;
+  }
   return 0;
 }
 
@@ -372,6 +380,10 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
                                    bool allow_args) {
   ++stats_.plans_compiled;
   Plan plan;
+  // Step index per scheduled node; kOnStack marks a node whose DFS visit
+  // is still open, so reaching it again is a back edge (a cycle, which
+  // no pass may create) rather than unbounded re-pushing.
+  constexpr int kOnStack = -1;
   std::unordered_map<const Node*, int> step_of;
   // Post-order DFS from the returns gives a topological schedule over
   // exactly the nodes this subgraph needs. Its order of stateful steps
@@ -382,6 +394,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   auto visit = [&](const Node* n) -> int {
     auto found = step_of.find(n);
     if (found != step_of.end()) return found->second;
+    step_of[n] = kOnStack;
     stack.emplace_back(n, 0);
     while (!stack.empty()) {
       auto& [node, next_input] = stack.back();
@@ -391,31 +404,35 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
           if (!allow_args) {
             throw InternalError("Arg node evaluated outside a subgraph");
           }
-        } else if (step_of.find(in) == step_of.end()) {
+          continue;
+        }
+        auto [it, inserted] = step_of.try_emplace(in, kOnStack);
+        if (inserted) {
           stack.emplace_back(in, 0);
+        } else if (it->second == kOnStack) {
+          throw InternalError("graph has a cycle through node '" +
+                              in->name() + "' (" + in->op() + ")");
         }
         continue;
       }
-      if (step_of.find(node) == step_of.end()) {
-        Plan::Step step;
-        step.node = node;
-        step.kind = Plan::KindForOp(node->op());
-        if (step.kind == Plan::Kind::kKernel) {
-          step.kernel = &FindKernel(node->op());
-        }
-        step.inputs.reserve(node->inputs().size());
-        for (const Output& in : node->inputs()) {
-          if (in.node->op() == "Arg") {
-            step.inputs.push_back(Plan::InputRef{
-                -1, static_cast<int>(in.node->attr<int64_t>("index"))});
-          } else {
-            step.inputs.push_back(
-                Plan::InputRef{step_of.at(in.node), in.index});
-          }
-        }
-        step_of[node] = static_cast<int>(plan.steps.size());
-        plan.steps.push_back(std::move(step));
+      Plan::Step step;
+      step.node = node;
+      step.kind = Plan::KindForOp(node->op());
+      if (step.kind == Plan::Kind::kKernel) {
+        step.kernel = &FindKernel(node->op());
       }
+      step.inputs.reserve(node->inputs().size());
+      for (const Output& in : node->inputs()) {
+        if (in.node->op() == "Arg") {
+          step.inputs.push_back(Plan::InputRef{
+              -1, static_cast<int>(in.node->attr<int64_t>("index"))});
+        } else {
+          step.inputs.push_back(
+              Plan::InputRef{step_of.at(in.node), in.index});
+        }
+      }
+      step_of[node] = static_cast<int>(plan.steps.size());
+      plan.steps.push_back(std::move(step));
       stack.pop_back();
     }
     return step_of.at(n);
@@ -858,8 +875,8 @@ void Session::ExecStep(const Plan::Step& step,
       // Input-derived stats are snapshotted before the kernel: in-place
       // kernels may steal (move out of) uniquely-owned inputs.
       const int64_t in_bytes = ctx.rec != nullptr ? OutputBytes(inputs) : 0;
-      const int64_t mm_flops =
-          ctx.rec != nullptr ? MatMulFlops(*node, inputs) : 0;
+      const int64_t in_flops =
+          ctx.rec != nullptr ? InputFlops(*node, inputs) : 0;
       try {
         *out = (*step.kernel)(*node, inputs);
       } catch (const Error& e) {
@@ -871,7 +888,7 @@ void Session::ExecStep(const Plan::Step& step,
         ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
                             OutputBytes(*out),
                             tensor::ThreadAllocCount() - alloc0,
-                            mm_flops + ElementwiseFlops(*node, *out),
+                            in_flops + OutputFlops(*node, *out),
                             in_bytes,
                             tensor::simd::KernelBackendName(
                                 tensor::simd::ActiveBackend()));

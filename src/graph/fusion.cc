@@ -166,10 +166,7 @@ int FuseGraph(Graph* graph, std::vector<Output>* roots) {
 
 bool IsFusableElementwise(const Node& node) {
   if (node.num_outputs() != 1) return false;
-  if (node.op() == "Cast") return true;
-  FusedOp op;
-  bool is_binary = false;
-  return FusedOpForName(node.op(), &op, &is_binary);
+  return node.op() == "Cast" || FindElementwiseOp(node.op()) != nullptr;
 }
 
 int FuseElementwiseChains(PassContext& ctx) {
@@ -207,15 +204,17 @@ FusedProgram CompileFusedBody(const FuncGraph& body) {
       continue;
     }
     FusedStep step;
-    bool is_binary = false;
+    size_t arity = 1;
     if (n->op() == "Cast") {
       step.op = FusedOp::kCast;
       step.cast_to = n->attr<DType>("dtype");
-    } else if (!FusedOpForName(n->op(), &step.op, &is_binary)) {
+    } else if (const ElementwiseOpInfo* info = FindElementwiseOp(n->op())) {
+      step.op = info->op;
+      arity = static_cast<size_t>(info->arity);
+    } else {
       throw ValueError("FusedElementwise body: op '" + n->op() +
                        "' has no fused form");
     }
-    const size_t arity = is_binary ? 2 : 1;
     if (n->inputs().size() != arity || n->num_outputs() != 1) {
       throw ValueError("FusedElementwise body: op '" + n->op() +
                        "' has wrong arity");
@@ -229,7 +228,7 @@ FusedProgram CompileFusedBody(const FuncGraph& body) {
       return it->second;
     };
     step.a = operand(n->inputs()[0]);
-    if (is_binary) step.b = operand(n->inputs()[1]);
+    if (arity == 2) step.b = operand(n->inputs()[1]);
     reg_of[n.get()] =
         program.num_inputs + static_cast<int>(program.steps.size());
     program.steps.push_back(step);
@@ -243,7 +242,6 @@ FusedProgram CompileFusedBody(const FuncGraph& body) {
     throw ValueError(
         "FusedElementwise body must return its last op's output");
   }
-  program.out_dtype = ret.node->output_dtype(0);
   return program;
 }
 

@@ -4,6 +4,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "tensor/tensor_ops.h"
+
 namespace ag::graph {
 
 Output GraphContext::Resolve(Output o) {
@@ -38,14 +40,15 @@ Output GraphContext::Resolve(Output o) {
 
 namespace {
 
-// Ops whose output dtype is fixed by the op's semantics, bucketed by
-// rule so InferDtype / InferredDtypeIsAuthoritative resolve with one
-// hash lookup instead of a chain of ~40 string compares — both sit on
-// hot paths (every OpN during tracing, every node during AGV104
-// verification, including at artifact load).
+// Ops outside the elementwise table whose output dtype is fixed by the
+// op's semantics, bucketed by rule so InferDtype /
+// InferredDtypeIsAuthoritative resolve with hash lookups instead of a
+// chain of string compares — both sit on hot paths (every OpN during
+// tracing, every node during AGV104 verification, including at artifact
+// load). Elementwise ops take their rule from the table
+// (tensor/elementwise_ops.def).
 enum class DtypeRule : uint8_t {
   kPropagate,  // not authoritative: dtype follows the inputs
-  kBool,
   kInt,
   kFloat,  // float regardless of input dtype
   kInt8,
@@ -55,36 +58,17 @@ enum class DtypeRule : uint8_t {
 
 DtypeRule RuleFor(const std::string& op) {
   static const std::unordered_map<std::string_view, DtypeRule> kRules = {
-      {"Less", DtypeRule::kBool},
-      {"LessEqual", DtypeRule::kBool},
-      {"Greater", DtypeRule::kBool},
-      {"GreaterEqual", DtypeRule::kBool},
-      {"Equal", DtypeRule::kBool},
-      {"NotEqual", DtypeRule::kBool},
-      {"LogicalAnd", DtypeRule::kBool},
-      {"LogicalOr", DtypeRule::kBool},
-      {"LogicalNot", DtypeRule::kBool},
       {"ArgMax", DtypeRule::kInt},
       {"Range", DtypeRule::kInt},
       {"Shape", DtypeRule::kInt},
       {"Size", DtypeRule::kInt},
       {"TensorListLen", DtypeRule::kInt},
       {"Dim0", DtypeRule::kInt},
-      {"Div", DtypeRule::kFloat},
-      {"Exp", DtypeRule::kFloat},
-      {"Log", DtypeRule::kFloat},
-      {"Tanh", DtypeRule::kFloat},
-      {"Sigmoid", DtypeRule::kFloat},
-      {"Relu", DtypeRule::kFloat},
-      {"Sqrt", DtypeRule::kFloat},
       {"Softmax", DtypeRule::kFloat},
       {"LogSoftmax", DtypeRule::kFloat},
       {"SoftmaxCrossEntropy", DtypeRule::kFloat},
       {"SoftmaxCrossEntropyGrad", DtypeRule::kFloat},
       {"OneHot", DtypeRule::kFloat},
-      {"Sin", DtypeRule::kFloat},
-      {"Cos", DtypeRule::kFloat},
-      {"Pow", DtypeRule::kFloat},
       {"RandomNormal", DtypeRule::kFloat},
       {"RandomUniform", DtypeRule::kFloat},
       // Quantization boundary ops (inserted by the quantize_weights
@@ -103,9 +87,17 @@ DtypeRule RuleFor(const std::string& op) {
 
 DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
                  const AttrMap& attrs) {
+  auto input_dtype = [&inputs](size_t i) {
+    return i < inputs.size() && inputs[i].valid()
+               ? inputs[i].node->output_dtype(inputs[i].index)
+               : DType::kFloat32;
+  };
+  if (const ElementwiseOpInfo* info = FindElementwiseOp(op)) {
+    const DType a = input_dtype(0);
+    return ElementwiseResultDType(info->dtype, a,
+                                  info->arity == 2 ? input_dtype(1) : a);
+  }
   switch (RuleFor(op)) {
-    case DtypeRule::kBool:
-      return DType::kBool;
     case DtypeRule::kInt:
       return DType::kInt32;
     case DtypeRule::kInt8:
@@ -139,17 +131,15 @@ DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
   // recorded dtype bool, making every such While loop-carried slot
   // inconsistent.)
   if (op == "Where" && inputs.size() >= 2 && inputs[1].valid()) {
-    return inputs[1].node->output_dtype(inputs[1].index);
+    return input_dtype(1);
   }
   // Dtype-propagating ops: use the first tensor input if present.
-  if (!inputs.empty() && inputs[0].valid()) {
-    return inputs[0].node->output_dtype(inputs[0].index);
-  }
-  return DType::kFloat32;
+  return input_dtype(0);
 }
 
 bool InferredDtypeIsAuthoritative(const std::string& op) {
-  return RuleFor(op) != DtypeRule::kPropagate;
+  return FindElementwiseOp(op) != nullptr ||
+         RuleFor(op) != DtypeRule::kPropagate;
 }
 
 std::vector<Output> OpN(GraphContext& ctx, const std::string& op,

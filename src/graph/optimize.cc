@@ -371,14 +371,6 @@ PipelineSpec EffectivePipeline(const OptimizeOptions& options) {
       spec = PipelineSpec::Parse(env);
     }
   }
-  // Deprecated boolean toggles forward into the spec as exclusions.
-  auto exclude_if_off = [&spec](bool enabled, const char* name) {
-    if (!enabled) spec.exclude.emplace_back(name);
-  };
-  exclude_if_off(options.licm, "licm");
-  exclude_if_off(options.constant_folding, "constant_folding");
-  exclude_if_off(options.cse, "cse");
-  exclude_if_off(options.dce, "dce");
   return spec;
 }
 

@@ -49,9 +49,10 @@ struct KernelTable {
   // (same operation sequence, fused FMA), so a value's result does not
   // depend on where it lands in the array — this is what keeps fused
   // and unfused evaluation bit-identical within the backend.
-  void (*vexp)(const float* src, float* dst, int64_t n) = nullptr;
-  void (*vtanh)(const float* src, float* dst, int64_t n) = nullptr;
-  void (*vsigmoid)(const float* src, float* dst, int64_t n) = nullptr;
+  using ArrayKernel = void (*)(const float* src, float* dst, int64_t n);
+  ArrayKernel vexp = nullptr;
+  ArrayKernel vtanh = nullptr;
+  ArrayKernel vsigmoid = nullptr;
 
   // One FusedProgram step over a block (tensor_ops.cc FusedApplyBlock).
   // Returns false when this step op has no vector form — the caller

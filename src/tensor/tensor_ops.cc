@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
 
 #include "runtime/cancellation.h"
 #include "runtime/parallel_for.h"
@@ -28,13 +29,6 @@ constexpr int64_t kElementGrain = 16384;
 // on the thread budget — so results are identical whether the blocks
 // run sequentially or sharded.
 constexpr int64_t kReduceBlock = 65536;
-
-// Result dtype for an arithmetic binary op (float wins over int).
-DType PromoteDType(DType a, DType b) {
-  if (a == DType::kFloat32 || b == DType::kFloat32) return DType::kFloat32;
-  if (a == DType::kInt32 || b == DType::kInt32) return DType::kInt32;
-  return DType::kBool;
-}
 
 // Output tensor over a pool-acquired (contents-unspecified) buffer.
 Tensor NewOut(Shape shape, DType dtype) {
@@ -246,325 +240,70 @@ Tensor Reduce(const Tensor& a, int axis, bool keepdims, float init, F&& f) {
   return out_t;
 }
 
+// Compile-time view of one table row (elementwise_ops.def).
+#define AG_ELEMENTWISE_OP(Name, Arity, Dtype, Fn, Hook, TfName)        \
+  struct Name##Op {                                                     \
+    static constexpr int kArity = Arity;                                \
+    static constexpr ElementwiseDtype kDtype = ElementwiseDtype::Dtype; \
+    static constexpr auto kFn = Fn;                                     \
+    static constexpr tensor::simd::KernelTable::ArrayKernel             \
+        tensor::simd::KernelTable::*kHook = Hook;                       \
+  };
+#include "tensor/elementwise_ops.def"
+
+// The unfused kernel of a unary table op. A row with an array hook
+// consults the active kernel backend (resolved here, on the calling
+// thread) and routes through the vectorized array kernel when present;
+// the scalar backend's table has null entries, keeping the functor
+// path.
+template <typename Op>
+Tensor ApplyElementwise(const Tensor& a, Tensor* ra) {
+  const DType out_dtype = ElementwiseResultDType(Op::kDtype, a.dtype(),
+                                                 a.dtype());
+  if constexpr (Op::kHook != nullptr) {
+    if (auto* fn = tensor::simd::ActiveKernels().*Op::kHook) {
+      return UnaryArrayOp(a, out_dtype, fn, ra);
+    }
+  }
+  return UnaryOp(a, out_dtype, Op::kFn, ra);
+}
+
+template <typename Op>
+Tensor ApplyElementwise(const Tensor& a, const Tensor& b, Tensor* ra,
+                        Tensor* rb) {
+  return BinaryOp(a, b,
+                  ElementwiseResultDType(Op::kDtype, a.dtype(), b.dtype()),
+                  Op::kFn, ra, rb);
+}
+
 }  // namespace
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x + y; });
-}
-
-Tensor Add(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x + y; }, &a, &b);
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x - y; });
-}
-
-Tensor Sub(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x - y; }, &a, &b);
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x * y; });
-}
-
-Tensor Mul(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x * y; }, &a, &b);
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return x / y; });
-}
-
-Tensor Div(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return x / y; }, &a, &b);
-}
-
-Tensor FloorDiv(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::floor(x / y); });
-}
-
-Tensor FloorDiv(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::floor(x / y); }, &a, &b);
-}
-
-namespace {
-// Python modulo semantics.
-inline float PyMod(float x, float y) { return x - std::floor(x / y) * y; }
-}  // namespace
-
-Tensor Mod(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), &PyMod);
-}
-
-Tensor Mod(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), &PyMod, &a, &b);
-}
-
-Tensor Pow(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return std::pow(x, y); });
-}
-
-Tensor Pow(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return std::pow(x, y); }, &a, &b);
-}
-
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::max(x, y); });
-}
-
-Tensor Maximum(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::max(x, y); }, &a, &b);
-}
-
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::min(x, y); });
-}
-
-Tensor Minimum(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::min(x, y); }, &a, &b);
-}
-
-Tensor Less(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x < y ? 1.0f : 0.0f; });
-}
-
-Tensor Less(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x < y ? 1.0f : 0.0f; }, &a, &b);
-}
-
-Tensor LessEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x <= y ? 1.0f : 0.0f; });
-}
-
-Tensor LessEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x <= y ? 1.0f : 0.0f; }, &a,
-                  &b);
-}
-
-Tensor Greater(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x > y ? 1.0f : 0.0f; });
-}
-
-Tensor Greater(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x > y ? 1.0f : 0.0f; }, &a, &b);
-}
-
-Tensor GreaterEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x >= y ? 1.0f : 0.0f; });
-}
-
-Tensor GreaterEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x >= y ? 1.0f : 0.0f; }, &a,
-                  &b);
-}
-
-Tensor Equal(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x == y ? 1.0f : 0.0f; });
-}
-
-Tensor Equal(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x == y ? 1.0f : 0.0f; }, &a,
-                  &b);
-}
-
-Tensor NotEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x != y ? 1.0f : 0.0f; });
-}
-
-Tensor NotEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x != y ? 1.0f : 0.0f; }, &a,
-                  &b);
-}
-
-Tensor LogicalAnd(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool, [](float x, float y) {
-    return (x != 0.0f && y != 0.0f) ? 1.0f : 0.0f;
-  });
-}
-
-Tensor LogicalAnd(Tensor&& a, Tensor&& b) {
-  return BinaryOp(
-      a, b, DType::kBool,
-      [](float x, float y) { return (x != 0.0f && y != 0.0f) ? 1.0f : 0.0f; },
-      &a, &b);
-}
-
-Tensor LogicalOr(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool, [](float x, float y) {
-    return (x != 0.0f || y != 0.0f) ? 1.0f : 0.0f;
-  });
-}
-
-Tensor LogicalOr(Tensor&& a, Tensor&& b) {
-  return BinaryOp(
-      a, b, DType::kBool,
-      [](float x, float y) { return (x != 0.0f || y != 0.0f) ? 1.0f : 0.0f; },
-      &a, &b);
-}
-
-Tensor LogicalNot(const Tensor& a) {
-  return UnaryOp(a, DType::kBool,
-                 [](float x) { return x == 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor LogicalNot(Tensor&& a) {
-  return UnaryOp(a, DType::kBool,
-                 [](float x) { return x == 0.0f ? 1.0f : 0.0f; }, &a);
-}
-
-Tensor Neg(const Tensor& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return -x; });
-}
-
-Tensor Neg(Tensor&& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return -x; }, &a);
-}
-
-// Exp/Tanh/Sigmoid consult the active kernel backend (resolved here, on
-// the calling thread) and route through the vectorized array kernels
-// when present; the scalar backend's table has null entries, keeping
-// the libm path byte-identical to the seed.
-Tensor Exp(const Tensor& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vexp) {
-    return UnaryArrayOp(a, DType::kFloat32, fn);
+#define AG_ELEMENTWISE_DEF_1(Name)                         \
+  Tensor Name(const Tensor& a) {                           \
+    return ApplyElementwise<Name##Op>(a, nullptr);         \
+  }                                                        \
+  Tensor Name(Tensor&& a) { return ApplyElementwise<Name##Op>(a, &a); }
+#define AG_ELEMENTWISE_DEF_2(Name)                                     \
+  Tensor Name(const Tensor& a, const Tensor& b) {                      \
+    return ApplyElementwise<Name##Op>(a, b, nullptr, nullptr);         \
+  }                                                                    \
+  Tensor Name(Tensor&& a, Tensor&& b) {                                \
+    return ApplyElementwise<Name##Op>(a, b, &a, &b);                   \
   }
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::exp(x); });
-}
+#define AG_ELEMENTWISE_OP(Name, Arity, ...) AG_ELEMENTWISE_DEF_##Arity(Name)
+#include "tensor/elementwise_ops.def"
+#undef AG_ELEMENTWISE_DEF_1
+#undef AG_ELEMENTWISE_DEF_2
 
-Tensor Exp(Tensor&& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vexp) {
-    return UnaryArrayOp(a, DType::kFloat32, fn, &a);
-  }
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::exp(x); }, &a);
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::log(x); });
-}
-
-Tensor Log(Tensor&& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::log(x); }, &a);
-}
-
-Tensor Tanh(const Tensor& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vtanh) {
-    return UnaryArrayOp(a, DType::kFloat32, fn);
-  }
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::tanh(x); });
-}
-
-Tensor Tanh(Tensor&& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vtanh) {
-    return UnaryArrayOp(a, DType::kFloat32, fn, &a);
-  }
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::tanh(x); }, &a);
-}
-
-Tensor Sigmoid(const Tensor& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vsigmoid) {
-    return UnaryArrayOp(a, DType::kFloat32, fn);
-  }
-  return UnaryOp(a, DType::kFloat32,
-                 [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-
-Tensor Sigmoid(Tensor&& a) {
-  if (auto* fn = tensor::simd::ActiveKernels().vsigmoid) {
-    return UnaryArrayOp(a, DType::kFloat32, fn, &a);
-  }
-  return UnaryOp(a, DType::kFloat32,
-                 [](float x) { return 1.0f / (1.0f + std::exp(-x)); }, &a);
-}
-
-Tensor Relu(const Tensor& a) {
-  return UnaryOp(a, DType::kFloat32,
-                 [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor Relu(Tensor&& a) {
-  return UnaryOp(a, DType::kFloat32,
-                 [](float x) { return x > 0.0f ? x : 0.0f; }, &a);
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::sqrt(x); });
-}
-
-Tensor Sqrt(Tensor&& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::sqrt(x); }, &a);
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return std::fabs(x); });
-}
-
-Tensor Abs(Tensor&& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return std::fabs(x); }, &a);
-}
-
-Tensor Sign(const Tensor& a) {
-  return UnaryOp(a, a.dtype(), [](float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  });
-}
-
-Tensor Sign(Tensor&& a) {
-  return UnaryOp(
-      a, a.dtype(),
-      [](float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }, &a);
-}
-
-Tensor Square(const Tensor& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return x * x; });
-}
-
-Tensor Square(Tensor&& a) {
-  return UnaryOp(a, a.dtype(), [](float x) { return x * x; }, &a);
-}
-
-Tensor Sin(const Tensor& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::sin(x); });
-}
-
-Tensor Sin(Tensor&& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::sin(x); }, &a);
-}
-
-Tensor Cos(const Tensor& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::cos(x); });
-}
-
-Tensor Cos(Tensor&& a) {
-  return UnaryOp(a, DType::kFloat32, [](float x) { return std::cos(x); }, &a);
+const ElementwiseOpInfo* FindElementwiseOp(std::string_view name) {
+  static const auto* kTable =
+      new std::unordered_map<std::string_view, ElementwiseOpInfo>{
+#define AG_ELEMENTWISE_OP(Name, Arity, Dtype, ...) \
+  {#Name, {FusedOp::k##Name, Arity, ElementwiseDtype::Dtype}},
+#include "tensor/elementwise_ops.def"
+      };
+  auto it = kTable->find(name);
+  return it == kTable->end() ? nullptr : &it->second;
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -1065,131 +804,69 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
 
 // ---- Fused elementwise programs ----
 
-bool FusedOpForName(const std::string& name, FusedOp* op, bool* is_binary) {
-  struct Entry {
-    const char* name;
-    FusedOp op;
-    bool binary;
-  };
-  static constexpr Entry kTable[] = {
-      {"Add", FusedOp::kAdd, true},
-      {"Sub", FusedOp::kSub, true},
-      {"Mul", FusedOp::kMul, true},
-      {"Div", FusedOp::kDiv, true},
-      {"FloorDiv", FusedOp::kFloorDiv, true},
-      {"Mod", FusedOp::kMod, true},
-      {"Pow", FusedOp::kPow, true},
-      {"Maximum", FusedOp::kMaximum, true},
-      {"Minimum", FusedOp::kMinimum, true},
-      {"Less", FusedOp::kLess, true},
-      {"LessEqual", FusedOp::kLessEqual, true},
-      {"Greater", FusedOp::kGreater, true},
-      {"GreaterEqual", FusedOp::kGreaterEqual, true},
-      {"Equal", FusedOp::kEqual, true},
-      {"NotEqual", FusedOp::kNotEqual, true},
-      {"LogicalAnd", FusedOp::kLogicalAnd, true},
-      {"LogicalOr", FusedOp::kLogicalOr, true},
-      {"LogicalNot", FusedOp::kLogicalNot, false},
-      {"Neg", FusedOp::kNeg, false},
-      {"Exp", FusedOp::kExp, false},
-      {"Log", FusedOp::kLog, false},
-      {"Tanh", FusedOp::kTanh, false},
-      {"Sigmoid", FusedOp::kSigmoid, false},
-      {"Relu", FusedOp::kRelu, false},
-      {"Sqrt", FusedOp::kSqrt, false},
-      {"Abs", FusedOp::kAbs, false},
-      {"Sign", FusedOp::kSign, false},
-      {"Square", FusedOp::kSquare, false},
-      {"Sin", FusedOp::kSin, false},
-      {"Cos", FusedOp::kCos, false},
-  };
-  for (const Entry& e : kTable) {
-    if (name == e.name) {
-      *op = e.op;
-      *is_binary = e.binary;
-      return true;
+namespace {
+
+// One table op over a block of m elements, calling the row's functor —
+// the same one the unfused kernel calls.
+template <typename Op>
+inline void ApplyBlock(const float* a, const float* b, float* dst,
+                       int64_t m) {
+  for (int64_t j = 0; j < m; ++j) {
+    if constexpr (Op::kArity == 2) {
+      dst[j] = Op::kFn(a[j], b[j]);
+    } else {
+      dst[j] = Op::kFn(a[j]);
     }
   }
-  return false;
 }
-
-namespace {
 
 // One fused step over a block of m elements: op-at-a-time rather than
 // element-at-a-time, so the FusedOp dispatch costs one switch per block
 // per step and each case body is a tight loop the compiler can
-// vectorize. Every case computes the same per-element expression as the
-// corresponding unfused functor above (and kCast mirrors CastInPlace in
-// tensor.cc); elements are independent, so the loop-nesting change
-// cannot alter any value — that is what makes fused output bit-identical
-// to the unfused chain.
+// vectorize. Elements are independent, so the loop-nesting change
+// cannot alter any value — that is what makes fused output
+// bit-identical to the unfused chain (kCast mirrors CastInPlace in
+// tensor.cc).
 inline void FusedApplyBlock(const FusedStep& s, const float* a,
                             const float* b, float* dst, int64_t m,
                             const tensor::simd::KernelTable* kt) {
   // Vector backend first: fused_step handles only ops whose vector
-  // semantics match the scalar cases below exactly (see simd_avx2.cc),
+  // semantics match the table functors exactly (see simd_avx2.cc),
   // so fused == unfused bit-identity holds within every backend.
   if (kt != nullptr && kt->fused_step != nullptr &&
       kt->fused_step(s, a, b, dst, m)) {
     return;
   }
-#define AG_FUSED_LOOP(expr)                     \
-  for (int64_t j = 0; j < m; ++j) {             \
-    const float x = a[j];                       \
-    dst[j] = (expr);                            \
-  }                                             \
-  break
-#define AG_FUSED_LOOP2(expr)                    \
-  for (int64_t j = 0; j < m; ++j) {             \
-    const float x = a[j];                       \
-    const float y = b[j];                       \
-    dst[j] = (expr);                            \
-  }                                             \
-  break
   switch (s.op) {
-    case FusedOp::kAdd: AG_FUSED_LOOP2(x + y);
-    case FusedOp::kSub: AG_FUSED_LOOP2(x - y);
-    case FusedOp::kMul: AG_FUSED_LOOP2(x * y);
-    case FusedOp::kDiv: AG_FUSED_LOOP2(x / y);
-    case FusedOp::kFloorDiv: AG_FUSED_LOOP2(std::floor(x / y));
-    case FusedOp::kMod: AG_FUSED_LOOP2(PyMod(x, y));
-    case FusedOp::kPow: AG_FUSED_LOOP2(std::pow(x, y));
-    case FusedOp::kMaximum: AG_FUSED_LOOP2(std::max(x, y));
-    case FusedOp::kMinimum: AG_FUSED_LOOP2(std::min(x, y));
-    case FusedOp::kLess: AG_FUSED_LOOP2(x < y ? 1.0f : 0.0f);
-    case FusedOp::kLessEqual: AG_FUSED_LOOP2(x <= y ? 1.0f : 0.0f);
-    case FusedOp::kGreater: AG_FUSED_LOOP2(x > y ? 1.0f : 0.0f);
-    case FusedOp::kGreaterEqual: AG_FUSED_LOOP2(x >= y ? 1.0f : 0.0f);
-    case FusedOp::kEqual: AG_FUSED_LOOP2(x == y ? 1.0f : 0.0f);
-    case FusedOp::kNotEqual: AG_FUSED_LOOP2(x != y ? 1.0f : 0.0f);
-    case FusedOp::kLogicalAnd:
-      AG_FUSED_LOOP2((x != 0.0f && y != 0.0f) ? 1.0f : 0.0f);
-    case FusedOp::kLogicalOr:
-      AG_FUSED_LOOP2((x != 0.0f || y != 0.0f) ? 1.0f : 0.0f);
-    case FusedOp::kLogicalNot: AG_FUSED_LOOP(x == 0.0f ? 1.0f : 0.0f);
-    case FusedOp::kNeg: AG_FUSED_LOOP(-x);
-    case FusedOp::kExp: AG_FUSED_LOOP(std::exp(x));
-    case FusedOp::kLog: AG_FUSED_LOOP(std::log(x));
-    case FusedOp::kTanh: AG_FUSED_LOOP(std::tanh(x));
-    case FusedOp::kSigmoid: AG_FUSED_LOOP(1.0f / (1.0f + std::exp(-x)));
-    case FusedOp::kRelu: AG_FUSED_LOOP(x > 0.0f ? x : 0.0f);
-    case FusedOp::kSqrt: AG_FUSED_LOOP(std::sqrt(x));
-    case FusedOp::kAbs: AG_FUSED_LOOP(std::fabs(x));
-    case FusedOp::kSign:
-      AG_FUSED_LOOP(x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f));
-    case FusedOp::kSquare: AG_FUSED_LOOP(x * x);
-    case FusedOp::kSin: AG_FUSED_LOOP(std::sin(x));
-    case FusedOp::kCos: AG_FUSED_LOOP(std::cos(x));
+#define AG_ELEMENTWISE_OP(Name, ...) \
+  case FusedOp::k##Name:             \
+    ApplyBlock<Name##Op>(a, b, dst, m); \
+    return;
+#include "tensor/elementwise_ops.def"
     case FusedOp::kCast:
-      switch (s.cast_to) {
-        case DType::kBool: AG_FUSED_LOOP((x != 0.0f) ? 1.0f : 0.0f);
-        case DType::kInt32: AG_FUSED_LOOP(std::trunc(x));
-        default: AG_FUSED_LOOP(x);
+      if (s.cast_to == DType::kBool) {
+        for (int64_t j = 0; j < m; ++j) dst[j] = a[j] != 0.0f ? 1.0f : 0.0f;
+      } else if (s.cast_to == DType::kInt32) {
+        for (int64_t j = 0; j < m; ++j) dst[j] = std::trunc(a[j]);
+      } else {
+        for (int64_t j = 0; j < m; ++j) dst[j] = a[j];
       }
-      break;
+      return;
   }
-#undef AG_FUSED_LOOP
-#undef AG_FUSED_LOOP2
+}
+
+// The dtype step `s` produces from operands of dtype `a` and `b`: the
+// same table rule the unfused kernel applies.
+DType StepDType(const FusedStep& s, DType a, DType b) {
+  switch (s.op) {
+#define AG_ELEMENTWISE_OP(Name, ...) \
+  case FusedOp::k##Name:             \
+    return ElementwiseResultDType(Name##Op::kDtype, a, b);
+#include "tensor/elementwise_ops.def"
+    case FusedOp::kCast:
+      return s.cast_to;
+  }
+  return a;
 }
 
 }  // namespace
@@ -1203,6 +880,17 @@ Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
   for (size_t i = 1; i < inputs.size(); ++i) {
     out_shape = Shape::Broadcast(out_shape, inputs[i].shape());
   }
+  // Register dtypes from the runtime input dtypes through each step's
+  // table rule, exactly as the unfused chain would tag its tensors.
+  std::vector<DType> dtypes;
+  dtypes.reserve(inputs.size() + program.steps.size());
+  for (const Tensor& t : inputs) dtypes.push_back(t.dtype());
+  for (const FusedStep& st : program.steps) {
+    const DType a = dtypes[static_cast<size_t>(st.a)];
+    dtypes.push_back(
+        StepDType(st, a, st.b < 0 ? a : dtypes[static_cast<size_t>(st.b)]));
+  }
+  const DType out_dtype = dtypes.back();
   const int64_t n = out_shape.num_elements();
   const int r = out_shape.rank();
   const std::vector<int64_t>& out_dims = out_shape.dims();
@@ -1260,7 +948,7 @@ Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
     }
   }
   Tensor out = reuse != nullptr ? std::move(*reuse)
-                                : NewOut(out_shape, program.out_dtype);
+                                : NewOut(out_shape, out_dtype);
   float* po = TensorAccess::data(out);
 
   const FusedStep* steps = program.steps.data();
@@ -1391,7 +1079,7 @@ Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
     }
   });
   return reuse != nullptr
-             ? TensorAccess::Retag(std::move(out), program.out_dtype)
+             ? TensorAccess::Retag(std::move(out), out_dtype)
              : out;
 }
 

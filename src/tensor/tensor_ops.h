@@ -2,14 +2,15 @@
 // eager runtime (immediate dispatch) and the graph Session (deferred
 // dispatch), mirroring how TF eager and TF graph share kernels.
 //
-// All binary elementwise ops broadcast NumPy-style. Comparison and logical
-// ops produce kBool tensors. Reductions accept an optional axis (negative
-// axes allowed) — `axis == kAllAxes` reduces to a scalar.
+// Binary elementwise ops broadcast NumPy-style. Reductions accept an
+// optional axis (negative axes allowed) — `axis == kAllAxes` reduces to
+// a scalar.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,41 +20,93 @@ namespace ag {
 
 inline constexpr int kAllAxes = INT32_MIN;
 
-// ---- Fused elementwise programs ----
-// A FusedProgram is a straight-line scalar recipe compiled from the body
-// of a FusedElementwise graph node (graph/fusion.h): registers
-// [0, num_inputs) hold the external operands, each step applies one
-// elementwise functor to earlier registers, and the last step's register
-// is the output. FusedEval evaluates the recipe block-wise — registers
-// are small fixed-size rows of elements, each step runs op-at-a-time
-// over its row in a tight vectorizable loop — so the chain's
-// intermediates live in a few KB of scratch instead of materialized
-// tensors, eliminating every intermediate allocation.
-//
-// Bit-identity contract: each FusedOp case in the interpreter is the
-// *same expression* as the corresponding unfused functor below, compiled
-// in this same translation unit, and every unfused intermediate is a
-// float32 buffer (tensor.h stores all dtypes as float32), so a value
-// round-tripped through memory equals the register value exactly.
+// ---- Elementwise ops (tensor/elementwise_ops.def) ----
+// Every elementwise op is one row of elementwise_ops.def; the
+// declarations below, the FusedOp enumerators and the graph-side
+// registrations are expansions of that table.
 
+// Result-dtype rule of an elementwise op.
+enum class ElementwiseDtype : uint8_t {
+  kPromote,      // float beats int beats bool, over both inputs
+  kSameAsInput,  // the (first) input's dtype
+  kFloat,        // float regardless of input dtype
+  kBool,         // comparisons and logical ops
+};
+
+// The dtype `rule` gives for inputs of dtype `a` and `b` (pass `a`
+// twice for a unary op).
+[[nodiscard]] constexpr DType ElementwiseResultDType(ElementwiseDtype rule,
+                                                     DType a, DType b) {
+  switch (rule) {
+    case ElementwiseDtype::kPromote:
+      if (a == DType::kFloat32 || b == DType::kFloat32) return DType::kFloat32;
+      if (a == DType::kInt32 || b == DType::kInt32) return DType::kInt32;
+      return DType::kBool;
+    case ElementwiseDtype::kSameAsInput:
+      return a;
+    case ElementwiseDtype::kFloat:
+      return DType::kFloat32;
+    case ElementwiseDtype::kBool:
+      return DType::kBool;
+  }
+  return a;
+}
+
+// One step op of a fused elementwise program: a table op, or kCast.
 enum class FusedOp : uint8_t {
-  // Binary (two register operands).
-  kAdd, kSub, kMul, kDiv, kFloorDiv, kMod, kPow, kMaximum, kMinimum,
-  kLess, kLessEqual, kGreater, kGreaterEqual, kEqual, kNotEqual,
-  kLogicalAnd, kLogicalOr,
-  // Unary (one register operand).
-  kLogicalNot, kNeg, kExp, kLog, kTanh, kSigmoid, kRelu, kSqrt, kAbs,
-  kSign, kSquare, kSin, kCos,
+#define AG_ELEMENTWISE_OP(Name, ...) k##Name,
+#include "tensor/elementwise_ops.def"
   // Dtype-semantics boundary: applies the CastInPlace value transform
   // for `cast_to` (kBool -> 0/1, kInt32 -> trunc, float -> identity).
   kCast,
 };
 
-// Maps a graph op name ("Add", "Tanh", ...) to its FusedOp. Returns
-// false for ops with no fused form ("Cast" included — the fusion pass
-// lowers it to kCast itself, driven by the node's dtype attr).
-[[nodiscard]] bool FusedOpForName(const std::string& name, FusedOp* op,
-                                  bool* is_binary);
+struct ElementwiseOpInfo {
+  FusedOp op;
+  int arity;
+  ElementwiseDtype dtype;
+};
+
+// The table row for graph op `name` ("Add", "Tanh", ...), or null for
+// ops outside the table ("Cast" included — the fusion pass lowers it to
+// kCast itself, driven by the node's dtype attr).
+[[nodiscard]] const ElementwiseOpInfo* FindElementwiseOp(
+    std::string_view name);
+
+// Binary ops broadcast NumPy-style. Each op also has an rvalue overload
+// that writes in place when one of the operands is the sole owner of
+// its buffer (and pooling is on) — the destination-passing path graph
+// executors use once liveness says an edge value is dead after this
+// consumer. Lvalue calls always copy; a Reshaped alias or a second live
+// handle blocks reuse via refcount.
+#define AG_ELEMENTWISE_DECL_1(Name)             \
+  [[nodiscard]] Tensor Name(const Tensor& a); \
+  [[nodiscard]] Tensor Name(Tensor&& a);
+#define AG_ELEMENTWISE_DECL_2(Name)                             \
+  [[nodiscard]] Tensor Name(const Tensor& a, const Tensor& b); \
+  [[nodiscard]] Tensor Name(Tensor&& a, Tensor&& b);
+#define AG_ELEMENTWISE_OP(Name, Arity, ...) AG_ELEMENTWISE_DECL_##Arity(Name)
+#include "tensor/elementwise_ops.def"
+#undef AG_ELEMENTWISE_DECL_1
+#undef AG_ELEMENTWISE_DECL_2
+
+// ---- Fused elementwise programs ----
+// A FusedProgram is a straight-line scalar recipe compiled from the body
+// of a FusedElementwise graph node (graph/fusion.h): registers
+// [0, num_inputs) hold the external operands, each step applies one
+// table functor to earlier registers, and the last step's register is
+// the output. FusedEval evaluates the recipe block-wise — registers are
+// small fixed-size rows of elements, each step runs op-at-a-time over
+// its row in a tight vectorizable loop — so the chain's intermediates
+// live in a few KB of scratch instead of materialized tensors,
+// eliminating every intermediate allocation.
+//
+// Bit-identity contract: a fused step calls the *same functor* as the
+// unfused kernel (one table row), and every unfused intermediate is a
+// float32 buffer (tensor.h stores all dtypes as float32), so a value
+// round-tripped through memory equals the register value exactly. The
+// output dtype follows the same table rules from the runtime input
+// dtypes, so it matches the unfused chain's too.
 
 struct FusedStep {
   FusedOp op = FusedOp::kAdd;
@@ -65,87 +118,13 @@ struct FusedStep {
 struct FusedProgram {
   int num_inputs = 0;
   std::vector<FusedStep> steps;  // at least one; last step is the output
-  DType out_dtype = DType::kFloat32;
 };
 
 // Evaluates `program` over broadcast inputs in one pass. Takes the
 // inputs by value so a sole-owned full-shape operand's buffer can be
-// reused for the output (same refcount rule as the rvalue ops below).
+// reused for the output (same refcount rule as the rvalue ops above).
 [[nodiscard]] Tensor FusedEval(const FusedProgram& program,
                                std::vector<Tensor> inputs);
-
-// ---- Elementwise binary (broadcasting) ----
-// Each op also has an rvalue overload that writes in place when one of
-// the operands is the sole owner of its buffer (and pooling is on) —
-// the destination-passing path graph executors use once liveness says
-// an edge value is dead after this consumer. Lvalue calls always copy;
-// a Reshaped alias or a second live handle blocks reuse via refcount.
-[[nodiscard]] Tensor Add(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Add(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Sub(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Sub(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Mul(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Mul(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Div(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Div(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor FloorDiv(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor FloorDiv(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Mod(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Mod(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Pow(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Pow(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Maximum(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Maximum(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Minimum(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Minimum(Tensor&& a, Tensor&& b);
-
-// ---- Comparisons (result dtype kBool) ----
-[[nodiscard]] Tensor Less(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Less(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor LessEqual(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor LessEqual(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Greater(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Greater(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor GreaterEqual(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor GreaterEqual(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor Equal(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor Equal(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor NotEqual(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor NotEqual(Tensor&& a, Tensor&& b);
-
-// ---- Logical (operands interpreted as truthy; result kBool) ----
-[[nodiscard]] Tensor LogicalAnd(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor LogicalAnd(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor LogicalOr(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor LogicalOr(Tensor&& a, Tensor&& b);
-[[nodiscard]] Tensor LogicalNot(const Tensor& a);
-[[nodiscard]] Tensor LogicalNot(Tensor&& a);
-
-// ---- Elementwise unary ----
-[[nodiscard]] Tensor Neg(const Tensor& a);
-[[nodiscard]] Tensor Neg(Tensor&& a);
-[[nodiscard]] Tensor Exp(const Tensor& a);
-[[nodiscard]] Tensor Exp(Tensor&& a);
-[[nodiscard]] Tensor Log(const Tensor& a);
-[[nodiscard]] Tensor Log(Tensor&& a);
-[[nodiscard]] Tensor Tanh(const Tensor& a);
-[[nodiscard]] Tensor Tanh(Tensor&& a);
-[[nodiscard]] Tensor Sigmoid(const Tensor& a);
-[[nodiscard]] Tensor Sigmoid(Tensor&& a);
-[[nodiscard]] Tensor Relu(const Tensor& a);
-[[nodiscard]] Tensor Relu(Tensor&& a);
-[[nodiscard]] Tensor Sqrt(const Tensor& a);
-[[nodiscard]] Tensor Sqrt(Tensor&& a);
-[[nodiscard]] Tensor Abs(const Tensor& a);
-[[nodiscard]] Tensor Abs(Tensor&& a);
-[[nodiscard]] Tensor Sign(const Tensor& a);
-[[nodiscard]] Tensor Sign(Tensor&& a);
-[[nodiscard]] Tensor Square(const Tensor& a);
-[[nodiscard]] Tensor Square(Tensor&& a);
-[[nodiscard]] Tensor Sin(const Tensor& a);
-[[nodiscard]] Tensor Sin(Tensor&& a);
-[[nodiscard]] Tensor Cos(const Tensor& a);
-[[nodiscard]] Tensor Cos(Tensor&& a);
 
 // ---- Linear algebra ----
 // 2-D matrix product: [m, k] x [k, n] -> [m, n].

@@ -23,15 +23,15 @@ def f(x, y):
   // Float signature.
   auto r1 = fn({Tensor::Scalar(5.0f), Tensor::Scalar(2.0f)});
   EXPECT_FLOAT_EQ(exec::AsTensor(r1[0]).scalar(), 3.0f);
-  EXPECT_EQ(fn.num_traces(), 1u);
+  EXPECT_EQ(fn.cache_stats().traces, 1u);
   // Same signature: no retrace.
   auto r2 = fn({Tensor::Scalar(1.0f), Tensor::Scalar(9.0f)});
   EXPECT_FLOAT_EQ(exec::AsTensor(r2[0]).scalar(), 8.0f);
-  EXPECT_EQ(fn.num_traces(), 1u);
+  EXPECT_EQ(fn.cache_stats().traces, 1u);
   // Int signature: one more trace.
   auto r3 = fn({Tensor::ScalarInt(4), Tensor::ScalarInt(10)});
   EXPECT_EQ(exec::AsTensor(r3[0]).scalar_int(), 6);
-  EXPECT_EQ(fn.num_traces(), 2u);
+  EXPECT_EQ(fn.cache_stats().traces, 2u);
 }
 
 TEST(LanternMultiValue, TupleStateConditionals) {

@@ -38,6 +38,24 @@ TEST(Session, FeedAndFetch) {
   }
 }
 
+TEST(Session, CycleInGraphThrowsInternalError) {
+  // A pass bug that rewires Tanh to read its own consumer must end in a
+  // structured error in every build, not an ever-growing DFS worklist.
+  Graph g;
+  GraphContext ctx(&g);
+  Output x = Placeholder(ctx, "x", DType::kFloat32);
+  Output t = Op(ctx, "Tanh", {x});
+  Output n = Op(ctx, "Neg", {t});
+  (*t.node->mutable_inputs())[0] = n;
+  Session session(&g);
+  try {
+    (void)session.RunTensor({{"x", Tensor::Scalar(1.0f)}}, n);
+    FAIL() << "expected InternalError";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+  }
+}
+
 TEST(Session, MemoizationWithinOneRun) {
   Graph g;
   GraphContext ctx(&g);

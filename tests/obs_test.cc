@@ -132,6 +132,30 @@ TEST(SessionObs, StepStatsCoverKernelInvocations) {
   EXPECT_GE(meta.trace_events.size(), meta.step_stats.nodes.size());
 }
 
+TEST(SessionObs, ReductionsAndLogSoftmaxCountFlopsPerInputElement) {
+  graph::Graph g;
+  graph::GraphContext ctx(&g);
+  graph::Output x = graph::Placeholder(ctx, "x", DType::kFloat32);
+  graph::Output sum = graph::Op(ctx, "ReduceSum", {x});
+  graph::Output lsm = graph::Op(ctx, "LogSoftmax", {x});
+  exec::Session session(&g);
+
+  RunOptions options;
+  RunMetadata meta;
+  std::map<std::string, exec::RuntimeValue> feeds{
+      {"x", Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3})}};
+  (void)session.Run(feeds, {sum, lsm}, &options, &meta);
+
+  int seen = 0;
+  for (const NodeStats& n : meta.step_stats.nodes) {
+    if (n.op == "ReduceSum" || n.op == "LogSoftmax") {
+      EXPECT_EQ(n.flops, 6) << n.op;
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, 2);
+}
+
 TEST(SessionObs, DisabledOptionsAddNothing) {
   graph::Graph g;
   graph::GraphContext ctx(&g);
@@ -263,7 +287,6 @@ TEST(PolymorphicObs, CacheStatsCountHitsAndMisses) {
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.traces, 2u);
-  EXPECT_EQ(fn.num_traces(), 2u);  // deprecated forward still works
   EXPECT_NE(fn.DebugString().find("hits=1"), std::string::npos);
 
   // Instrumented call-through: metadata flows from the cached trace.

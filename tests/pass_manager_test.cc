@@ -219,17 +219,6 @@ TEST(GraphPassRegistry, ConstraintOnUnregisteredPassIsRejected) {
 
 // --- OptimizeOptions bridging --------------------------------------------
 
-TEST(EffectivePipeline, DeprecatedBoolsBecomeExcludes) {
-  graph::OptimizeOptions options;
-  options.dce = false;
-  options.licm = false;
-  const PipelineSpec spec = graph::EffectivePipeline(options);
-  EXPECT_FALSE(spec.Selects("dce", true));
-  EXPECT_FALSE(spec.Selects("licm", true));
-  EXPECT_TRUE(spec.Selects("cse", true));
-  EXPECT_TRUE(spec.Selects("fusion", true));
-}
-
 TEST(EffectivePipeline, ExplicitPipelineWinsOverBools) {
   graph::OptimizeOptions options;
   options.pipeline = PipelineSpec::Parse("cse,dce");
